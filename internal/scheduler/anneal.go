@@ -69,36 +69,41 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	accCtr := octx.Counter(obs.MAnnealAccepted)
 	rejCtr := octx.Counter(obs.MAnnealRejected)
 
+	// Every decode writes into cur or cand; the search swaps them on an
+	// accepted move, so the only copy made is best, on a new incumbent.
+	n := len(p.Tasks)
+	cur := Schedule{Start: make([]int, n), Option: make([]int, n)}
+	cand := Schedule{Start: make([]int, n), Option: make([]int, n)}
+
 	hsp := actx.StartSpan("heuristics")
 	seeds := heuristicCandidates(p)
 	var best Schedule
 	var bestList, bestOpts []int
 	found := false
 	for _, c := range seeds {
-		s, ok := g.decode(c.list, c.opts)
+		ok := g.decodeInto(&cand, c.list, c.opts)
 		sgsCtr.Inc()
 		if !ok {
 			continue
 		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
-			bestList = append([]int(nil), c.list...)
-			bestOpts = append([]int(nil), c.opts...)
+		if !found || cand.Makespan < best.Makespan {
+			best = cand.Clone()
+			bestList = append(bestList[:0], c.list...)
+			bestOpts = append(bestOpts[:0], c.opts...)
 			found = true
 		}
 	}
 	// A warm-start seed competes with the portfolio; when it wins, the
 	// search starts from the donor's (repaired) schedule instead.
-	if len(cfg.SeedList) == len(p.Tasks) && len(cfg.SeedOpts) == len(p.Tasks) {
-		if s, ok := g.decode(cfg.SeedList, cfg.SeedOpts); ok {
-			sgsCtr.Inc()
-			if !found || s.Makespan < best.Makespan {
-				octx.Counter(obs.MSweepWarmImproved).Inc()
-				best = s
-				bestList = append(bestList[:0], cfg.SeedList...)
-				bestOpts = append(bestOpts[:0], cfg.SeedOpts...)
-				found = true
-			}
+	if len(cfg.SeedList) == n && len(cfg.SeedOpts) == n {
+		ok := g.decodeInto(&cand, cfg.SeedList, cfg.SeedOpts)
+		sgsCtr.Inc()
+		if ok && (!found || cand.Makespan < best.Makespan) {
+			octx.Counter(obs.MSweepWarmImproved).Inc()
+			best = cand.Clone()
+			bestList = append(bestList[:0], cfg.SeedList...)
+			bestOpts = append(bestOpts[:0], cfg.SeedOpts...)
+			found = true
 		}
 	}
 	if found {
@@ -109,12 +114,11 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	if !found {
 		return Schedule{}, false
 	}
-	if len(p.Tasks) <= 1 {
+	if n <= 1 {
 		return best, true
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := len(p.Tasks)
 
 	for restart := 0; restart < cfg.Restarts; restart++ {
 		if ctx.Err() != nil {
@@ -127,7 +131,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 		rt.Restart(restart*cfg.Iterations, restart)
 		list := append([]int(nil), bestList...)
 		opts := append([]int(nil), bestOpts...)
-		cur, ok := g.decode(list, opts)
+		ok := g.decodeInto(&cur, list, opts)
 		sgsCtr.Inc()
 		if !ok {
 			rsp.End()
@@ -181,7 +185,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 				undo = func() { opts[ti] = old }
 			}
 
-			cand, ok := g.decode(list, opts)
+			ok := g.decodeInto(&cand, list, opts)
 			sgsCtr.Inc()
 			accept := false
 			if ok {
@@ -192,7 +196,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 			}
 			if accept {
 				accCtr.Inc()
-				cur = cand
+				cur, cand = cand, cur
 				if cur.Makespan < best.Makespan {
 					best = cur.Clone()
 					bestList = append(bestList[:0], list...)

@@ -67,7 +67,6 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 	foundBest := false
 
 	tail := tails(p)
-	maxStart := g.maxStartBound()
 
 	starts := make([]int, n)
 	options := make([]int, n)
@@ -143,7 +142,7 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 			ready := g.ready(i)
 			for oi := range p.Tasks[i].Options {
 				o := &p.Tasks[i].Options[oi]
-				s := g.tl.earliestStart(o, ready, maxStart)
+				s := g.tl.earliestStart(o, ready, g.maxStart)
 				if s < 0 {
 					continue
 				}

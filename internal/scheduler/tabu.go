@@ -53,6 +53,25 @@ type tabuMove struct {
 	a, b int
 }
 
+// apply makes the move on the search state.
+func (m tabuMove) apply(list, opts []int) {
+	if m.kind == 0 {
+		list[m.a], list[m.b] = list[m.b], list[m.a]
+	} else {
+		opts[m.a] = m.b
+	}
+}
+
+// undo reverses apply; old is the option the task held before an option
+// move.
+func (m tabuMove) undo(list, opts []int, old int) {
+	if m.kind == 0 {
+		list[m.a], list[m.b] = list[m.b], list[m.a]
+	} else {
+		opts[m.a] = old
+	}
+}
+
 // TabuSearch improves on the heuristic portfolio with tabu search over the
 // same (activity list, option assignment) state space the annealer uses. ok
 // is false when no heuristic seed could be placed.
@@ -72,18 +91,24 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	sgsCtr := octx.Counter(obs.MSGSSchedules)
 	stepCtr := octx.Counter(obs.MTabuSteps)
 
+	// Neighbourhood candidates are only compared by makespan, so they all
+	// decode into scratch; the accepted move decodes into cur.
+	n := len(p.Tasks)
+	scratch := Schedule{Start: make([]int, n), Option: make([]int, n)}
+	cur := Schedule{Start: make([]int, n), Option: make([]int, n)}
+
 	hsp := tctx.StartSpan("heuristics")
 	var best Schedule
 	var list, opts []int
 	found := false
 	for _, c := range heuristicCandidates(p) {
-		s, ok := g.decode(c.list, c.opts)
+		ok := g.decodeInto(&scratch, c.list, c.opts)
 		sgsCtr.Inc()
 		if !ok {
 			continue
 		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
+		if !found || scratch.Makespan < best.Makespan {
+			best = scratch.Clone()
 			list = append(list[:0], c.list...)
 			opts = append(opts[:0], c.opts...)
 			found = true
@@ -91,16 +116,15 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	}
 	// A warm-start seed competes with the portfolio; when it wins, the
 	// search starts from the donor's (repaired) schedule instead.
-	if len(cfg.SeedList) == len(p.Tasks) && len(cfg.SeedOpts) == len(p.Tasks) {
-		if s, ok := g.decode(cfg.SeedList, cfg.SeedOpts); ok {
-			sgsCtr.Inc()
-			if !found || s.Makespan < best.Makespan {
-				octx.Counter(obs.MSweepWarmImproved).Inc()
-				best = s
-				list = append(list[:0], cfg.SeedList...)
-				opts = append(opts[:0], cfg.SeedOpts...)
-				found = true
-			}
+	if len(cfg.SeedList) == n && len(cfg.SeedOpts) == n {
+		ok := g.decodeInto(&scratch, cfg.SeedList, cfg.SeedOpts)
+		sgsCtr.Inc()
+		if ok && (!found || scratch.Makespan < best.Makespan) {
+			octx.Counter(obs.MSweepWarmImproved).Inc()
+			best = scratch.Clone()
+			list = append(list[:0], cfg.SeedList...)
+			opts = append(opts[:0], cfg.SeedOpts...)
+			found = true
 		}
 	}
 	hsp.End()
@@ -108,84 +132,67 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 		return Schedule{}, false
 	}
 	rt.Incumbent(0, float64(best.Makespan))
-	n := len(p.Tasks)
 	if n <= 1 {
 		return best, true
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tabuUntil := map[tabuMove]int{}
-	cur := best.Clone()
 
 	for it := 0; it < cfg.Iterations; it++ {
 		if it&cancelCheckMask == 0 && ctx.Err() != nil {
 			break
 		}
 		stepCtr.Inc()
-		type cand struct {
-			move  tabuMove
-			apply func()
-			undo  func()
-		}
 		bestCand := -1
 		bestSpan := -1
-		var bestApply func()
 		var bestMove tabuMove
 
 		for k := 0; k < cfg.Neighborhood; k++ {
-			var c cand
+			var move tabuMove
+			old := 0
 			if rng.Intn(2) == 0 {
 				i := rng.Intn(n - 1)
-				c = cand{
-					move:  tabuMove{kind: 0, a: i, b: i + 1},
-					apply: func() { list[i], list[i+1] = list[i+1], list[i] },
-					undo:  func() { list[i], list[i+1] = list[i+1], list[i] },
-				}
+				move = tabuMove{kind: 0, a: i, b: i + 1}
 			} else {
 				ti := rng.Intn(n)
 				nOpts := len(p.Tasks[ti].Options)
 				if nOpts <= 1 {
 					continue
 				}
-				old := opts[ti]
+				old = opts[ti]
 				next := rng.Intn(nOpts)
 				if next == old {
 					next = (next + 1) % nOpts
 				}
-				c = cand{
-					move:  tabuMove{kind: 1, a: ti, b: next},
-					apply: func() { opts[ti] = next },
-					undo:  func() { opts[ti] = old },
-				}
+				move = tabuMove{kind: 1, a: ti, b: next}
 			}
 			// Tabu unless it would beat the global best (aspiration).
-			c.apply()
-			sched, ok := g.decode(list, opts)
+			move.apply(list, opts)
+			ok := g.decodeInto(&scratch, list, opts)
 			sgsCtr.Inc()
-			c.undo()
+			move.undo(list, opts, old)
 			if !ok {
 				continue
 			}
-			if until, isTabu := tabuUntil[c.move]; isTabu && it < until && sched.Makespan >= best.Makespan {
+			if until, isTabu := tabuUntil[move]; isTabu && it < until && scratch.Makespan >= best.Makespan {
 				continue
 			}
-			if bestCand == -1 || sched.Makespan < bestSpan {
+			if bestCand == -1 || scratch.Makespan < bestSpan {
 				bestCand = k
-				bestSpan = sched.Makespan
-				bestApply = c.apply
-				bestMove = c.move
+				bestSpan = scratch.Makespan
+				bestMove = move
 			}
 		}
 		if bestCand == -1 {
 			continue
 		}
-		bestApply()
-		sched, ok := g.decode(list, opts)
+		bestMove.apply(list, opts)
+		ok := g.decodeInto(&cur, list, opts)
 		sgsCtr.Inc()
 		if !ok {
 			continue
 		}
-		cur = sched
 		tabuUntil[bestMove] = it + cfg.Tenure
 		if cur.Makespan < best.Makespan {
 			best = cur.Clone()

@@ -3,6 +3,8 @@ package scheduler
 import (
 	"context"
 	"testing"
+
+	"hilp/internal/obs"
 )
 
 // labeledFig2 is the Figure 2 example with per-cluster option labels, the
@@ -195,5 +197,45 @@ func TestWarmStartSeedUnlabeledFallsBackFeasible(t *testing.T) {
 	}
 	if peak := s.PeakResource(p, 0); peak > 3+1e-9 {
 		t.Errorf("peak power = %g, want <= 3", peak)
+	}
+}
+
+// TestWarmSeedDecodeIsCounted: hilp_sched_sgs_schedules_total counts every
+// decode attempt, the warm-start seed's included when it fails. A seed that
+// cannot be decoded leaves the search unchanged, so adding one must add
+// exactly one decode to the count.
+func TestWarmSeedDecodeIsCounted(t *testing.T) {
+	p := labeledFig2(false)
+	badList := []int{0, 0, 1, 2, 3, 4} // task 5 is missing
+	badOpts := make([]int, len(p.Tasks))
+	if _, ok := newSGS(p).decode(badList, badOpts); ok {
+		t.Fatal("a list missing a task decoded")
+	}
+	improvers := map[string]func(octx *obs.Context, seeded bool){
+		"anneal": func(octx *obs.Context, seeded bool) {
+			cfg := AnnealConfig{Iterations: 200, Seed: 3, Obs: octx}
+			if seeded {
+				cfg.SeedList, cfg.SeedOpts = badList, badOpts
+			}
+			Anneal(context.Background(), p, cfg)
+		},
+		"tabu": func(octx *obs.Context, seeded bool) {
+			cfg := TabuConfig{Iterations: 50, Seed: 3, Obs: octx}
+			if seeded {
+				cfg.SeedList, cfg.SeedOpts = badList, badOpts
+			}
+			TabuSearch(context.Background(), p, cfg)
+		},
+	}
+	for name, run := range improvers {
+		count := func(seeded bool) int64 {
+			octx := &obs.Context{Metrics: obs.NewRegistry()}
+			run(octx, seeded)
+			return octx.Metrics.Counter(obs.MSGSSchedules).Value()
+		}
+		cold, seeded := count(false), count(true)
+		if cold == 0 || seeded != cold+1 {
+			t.Errorf("%s: %s = %d with a failing warm seed, %d without; want one more", name, obs.MSGSSchedules, seeded, cold)
+		}
 	}
 }
