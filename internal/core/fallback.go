@@ -93,8 +93,11 @@ func SolveProblem(ctx context.Context, p *scheduler.Problem, cfg scheduler.Confi
 			c := cfg
 			if retry {
 				// A different seed reshuffles every randomized component;
-				// ill-conditioned search trajectories rarely repeat.
+				// ill-conditioned search trajectories rarely repeat. The
+				// retry runs in full: only a first attempt's early exit can
+				// be replayed by SolveAdaptive's re-solve.
 				c.Seed = cfg.Seed*6364136223846793005 + 1442695040888963407
+				c = scheduler.WithRefineBelow(c, 0)
 			}
 			res, err = scheduler.Solve(ctx, p, c)
 		}

@@ -103,6 +103,14 @@ func Solve(ctx context.Context, w rodinia.Workload, spec soc.Spec, profile Profi
 // with the resolution and gap certified so far. Errors are reserved for
 // genuinely failed solves (invalid instances, infeasibility), never for
 // cancellation.
+//
+// A cold solve that can still refine stops as soon as its incumbent falls
+// below the refinement threshold (scheduler.WithRefineBelow): the loop only
+// reads "makespan < RefineWhileBelow" from it before discarding it, and
+// incumbents only fall, so the decision is the one the full solve would
+// make. The one resolution that is kept after all, when the next finer one
+// overshoots the horizon, is re-solved in full, so results match solving
+// every resolution in full.
 func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int) (*Instance, error), profile Profile, cfg scheduler.Config) (*Result, error) {
 	step := profile.InitialStepSec
 	var last *Result
@@ -117,6 +125,9 @@ func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int)
 	// and option labels are resolution-invariant), so only the first, coarsest
 	// solve pays the full search cost. Cold solves stay warm-free end to end.
 	warmEnabled := cfg.Warm != nil
+	// The early-exit threshold: below it the loop refines. Capped at the
+	// horizon so a stopped makespan can never read as an overshoot.
+	refineBelow := min(profile.RefineWhileBelow, profile.Horizon+1)
 
 	octx := cfg.Obs
 	esp := octx.StartSpan("evaluate")
@@ -128,6 +139,15 @@ func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int)
 	}
 	ectx := octx.WithSpan(esp)
 	octx.Counter(obs.MEvaluations).Inc()
+
+	noteDegraded := func(res scheduler.Result) {
+		if res.Degraded {
+			degraded = true
+			if fallbackReason == "" {
+				fallbackReason = res.FallbackReason
+			}
+		}
+	}
 
 	// finish records the final outcome of the adaptive loop.
 	finish := func(r *Result) *Result {
@@ -165,30 +185,19 @@ func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int)
 
 		scfg := cfg
 		scfg.Obs = rctx
+		if !warmEnabled && refinement < profile.MaxRefinements {
+			scfg = scheduler.WithRefineBelow(scfg, refineBelow)
+		}
 		res, err := SolveProblem(ctx, inst.Problem, scfg)
 		if err != nil {
 			rsp.End()
 			return nil, fmt.Errorf("core: solving at %gs steps: %w", step, err)
 		}
-		if res.Degraded {
-			degraded = true
-			if fallbackReason == "" {
-				fallbackReason = res.FallbackReason
-			}
-		}
+		noteDegraded(res)
 		if warmEnabled {
 			cfg.Warm = scheduler.WarmStartOf(inst.Problem, res.Schedule)
 		}
-		cur := &Result{
-			Instance:    inst,
-			Sched:       res,
-			StepSec:     step,
-			MakespanSec: float64(res.Schedule.Makespan) * step,
-			WLP:         res.Schedule.WLP(inst.Problem),
-			Gap:         res.Gap(),
-			Refinements: refinement,
-			Cancelled:   res.Cancelled,
-		}
+		cur := newResult(inst, res, step, refinement)
 		octx.Log(ctx, slog.LevelDebug, "evaluate: refinement solved",
 			"stepSec", step, "makespanSteps", res.Schedule.Makespan, "makespanSec", cur.MakespanSec,
 			"gap", cur.Gap, "method", res.Method, "refinement", refinement)
@@ -209,7 +218,20 @@ func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int)
 
 		switch {
 		case res.Schedule.Makespan > profile.Horizon && last != nil:
-			// Refinement overshot the horizon; keep the previous result.
+			// Refinement overshot the horizon; keep the previous result,
+			// solved in full if its solve stopped early.
+			if scheduler.Stopped(last.Sched) {
+				full, err := resolveKept(ctx, ectx, last, cfg)
+				switch {
+				case err == nil:
+					noteDegraded(full.Sched)
+					last = full
+				case ctx.Err() != nil:
+					last.Cancelled = true
+				default:
+					return nil, err
+				}
+			}
 			return finish(last), nil
 		case res.Schedule.Makespan > profile.Horizon && refinement < profile.MaxRefinements:
 			// The initial resolution was too fine for this workload; coarsen.
@@ -225,4 +247,32 @@ func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int)
 			return finish(cur), nil
 		}
 	}
+}
+
+// newResult wraps one refinement iteration's solve.
+func newResult(inst *Instance, res scheduler.Result, step float64, refinement int) *Result {
+	return &Result{
+		Instance:    inst,
+		Sched:       res,
+		StepSec:     step,
+		MakespanSec: float64(res.Schedule.Makespan) * step,
+		WLP:         res.Schedule.WLP(inst.Problem),
+		Gap:         res.Gap(),
+		Refinements: refinement,
+		Cancelled:   res.Cancelled,
+	}
+}
+
+// resolveKept re-solves the kept resolution of a stopped solve in full, as
+// the same (cold, deterministic) call without the early exit.
+func resolveKept(ctx context.Context, ectx *obs.Context, kept *Result, cfg scheduler.Config) (*Result, error) {
+	rsp := ectx.StartSpan("refine-iteration").ArgInt("refinement", kept.Refinements).Arg("step_sec", kept.StepSec)
+	defer rsp.End()
+	cfg.Obs = ectx.WithSpan(rsp)
+	res, err := SolveProblem(ctx, kept.Instance.Problem, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: solving at %gs steps: %w", kept.StepSec, err)
+	}
+	rsp.ArgInt("makespan_steps", res.Schedule.Makespan).Arg("gap", res.Gap())
+	return newResult(kept.Instance, res, kept.StepSec, kept.Refinements), nil
 }

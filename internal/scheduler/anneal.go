@@ -26,6 +26,10 @@ type AnnealConfig struct {
 	// extra starting candidate (a warm-start hint already mapped onto this
 	// problem) considered alongside the heuristic portfolio.
 	SeedList, SeedOpts []int
+	// StopBelow, when positive, ends the search as soon as the best
+	// makespan falls below it: after the heuristic portfolio, or on any new
+	// incumbent in any restart. 0 runs the full budget.
+	StopBelow int
 	// Obs carries optional tracing/metrics sinks; nil disables them.
 	Obs *obs.Context
 }
@@ -54,7 +58,8 @@ const cancelCheckMask = 31
 // could not place the tasks (an outright-infeasible option set).
 //
 // Cancelling ctx stops the search promptly; the best schedule found so far
-// is still returned (the heuristic seeds alone guarantee one).
+// is still returned (the heuristic seeds alone guarantee one). So does
+// reaching cfg.StopBelow.
 func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) {
 	cfg = cfg.withDefaults(p)
 	g := newSGS(p)
@@ -114,13 +119,14 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	if !found {
 		return Schedule{}, false
 	}
-	if n <= 1 {
+	if n <= 1 || best.Makespan < cfg.StopBelow {
 		return best, true
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	for restart := 0; restart < cfg.Restarts; restart++ {
+	stopped := false
+	for restart := 0; restart < cfg.Restarts && !stopped; restart++ {
 		if ctx.Err() != nil {
 			break
 		}
@@ -204,6 +210,10 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 					gi := restart*cfg.Iterations + it + 1
 					rt.Incumbent(gi, float64(best.Makespan))
 					rt.Temperature(gi, temp)
+					if best.Makespan < cfg.StopBelow {
+						stopped = true
+						break
+					}
 				}
 			} else {
 				rejCtr.Inc()

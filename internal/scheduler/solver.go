@@ -41,6 +41,21 @@ type Config struct {
 	// Obs carries optional tracing/metrics sinks; nil (the default) disables
 	// instrumentation at negligible cost.
 	Obs *obs.Context
+
+	// refineBelow, when positive, is the makespan (in steps) under which the
+	// adaptive-resolution loop will discard this solve and re-solve at a
+	// finer step. The improver returns as soon as its incumbent falls below
+	// it, and Solve skips justification and certification. Unexported, so
+	// only the loop sets it (WithRefineBelow); it is not a caller option.
+	refineBelow int
+}
+
+// WithRefineBelow returns cfg with the early-exit threshold of a coarse
+// refinement solve set to steps (0 disables it). Stopped reports whether a
+// solve took the exit.
+func WithRefineBelow(cfg Config, steps int) Config {
+	cfg.refineBelow = steps
+	return cfg
 }
 
 func (c Config) withDefaults() Config {
@@ -87,7 +102,17 @@ type Result struct {
 	// FallbackReason classifies why the solve degraded ("panic", "numerics",
 	// "injected-fault", "invalid-result", ...); empty unless Degraded.
 	FallbackReason string
+
+	// stopped is set when the improver's incumbent fell below the config's
+	// refineBelow threshold and the solve returned it without justification
+	// or certification stages (see Stopped).
+	stopped bool
 }
+
+// Stopped reports whether r came from a solve that took the coarse
+// refinement early exit (WithRefineBelow): its schedule is valid and its
+// bound sound, but it is not the schedule a full solve would return.
+func Stopped(r Result) bool { return r.stopped }
 
 // Gap returns the relative optimality gap (UB - LB) / UB. A value of 0 means
 // proven optimal; the paper calls schedules with gap <= 0.10 near-optimal.
@@ -224,6 +249,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 			Seed:       cfg.Seed,
 			SeedList:   warmList,
 			SeedOpts:   warmOpts,
+			StopBelow:  cfg.refineBelow,
 			Obs:        sctx,
 		})
 		method = "tabu"
@@ -234,6 +260,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 			Seed:       cfg.Seed,
 			SeedList:   warmList,
 			SeedOpts:   warmOpts,
+			StopBelow:  cfg.refineBelow,
 			Obs:        sctx,
 		})
 		method = "anneal"
@@ -246,13 +273,20 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 	rt.Incumbent(1, float64(best.Makespan))
 	stageEv(method, 1, float64(best.Makespan))
 
+	// The improver only ends below refineBelow by stopping there. Later
+	// stages can only lower the makespan, so the adaptive loop refines past
+	// this solve either way: return the incumbent as is.
+	stopped := best.Makespan < cfg.refineBelow
+
 	// Double justification: a cheap pass that never hurts and often shaves
 	// steps off the improved schedule.
-	if j := Justify(p, best); j.Makespan < best.Makespan {
-		best = j
-		method += "+justify"
-		rt.Incumbent(2, float64(best.Makespan))
-		stageEv("justify", 2, float64(best.Makespan))
+	if !stopped {
+		if j := Justify(p, best); j.Makespan < best.Makespan {
+			best = j
+			method += "+justify"
+			rt.Incumbent(2, float64(best.Makespan))
+			stageEv("justify", 2, float64(best.Makespan))
+		}
 	}
 
 	proven := best.Makespan == lb
@@ -268,7 +302,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 	// Destructive lower bounding tightens the certificate when the cheap
 	// combinatorial bounds leave a gap. Skipped once the context is done:
 	// the cheap bound already certifies a (looser) gap.
-	if !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
+	if !stopped && !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
 		dsp := sctx.StartSpan("destructive-lb")
 		if d := DestructiveLowerBound(ctx, p, best.Makespan); d > lb {
 			lb = d
@@ -280,7 +314,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 		dsp.End()
 	}
 
-	if !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
+	if !stopped && !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
 		// The exact stage span is recorded even when the search is skipped,
 		// so traces show why a gap was left uncertified.
 		xsp := sctx.StartSpan("exact")
@@ -315,5 +349,5 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 	octx.Gauge(obs.MMakespanSteps).Set(float64(best.Makespan))
 	sp.ArgInt("makespan", best.Makespan).ArgInt("lower_bound", lb).ArgStr("method", method)
 	rt.Certify(float64(best.Makespan), float64(lb), proven)
-	return Result{Schedule: best, LowerBound: lb, Proven: proven, Method: method, Nodes: nodes, Cancelled: cancelled}, nil
+	return Result{Schedule: best, LowerBound: lb, Proven: proven, Method: method, Nodes: nodes, Cancelled: cancelled, stopped: stopped}, nil
 }

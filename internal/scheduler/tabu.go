@@ -26,6 +26,10 @@ type TabuConfig struct {
 	// extra starting candidate (a warm-start hint already mapped onto this
 	// problem) considered alongside the heuristic portfolio.
 	SeedList, SeedOpts []int
+	// StopBelow, when positive, ends the search as soon as the best
+	// makespan falls below it: after the heuristic portfolio, or on any new
+	// incumbent. 0 runs the full budget.
+	StopBelow int
 	// Obs carries optional tracing/metrics sinks; nil disables them.
 	Obs *obs.Context
 }
@@ -77,7 +81,7 @@ func (m tabuMove) undo(list, opts []int, old int) {
 // is false when no heuristic seed could be placed.
 //
 // Cancelling ctx stops the search promptly; the best schedule found so far
-// is still returned.
+// is still returned. So does reaching cfg.StopBelow.
 func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool) {
 	cfg = cfg.withDefaults(p)
 	g := newSGS(p)
@@ -132,7 +136,7 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 		return Schedule{}, false
 	}
 	rt.Incumbent(0, float64(best.Makespan))
-	if n <= 1 {
+	if n <= 1 || best.Makespan < cfg.StopBelow {
 		return best, true
 	}
 
@@ -197,6 +201,9 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 		if cur.Makespan < best.Makespan {
 			best = cur.Clone()
 			rt.Incumbent(it+1, float64(best.Makespan))
+			if best.Makespan < cfg.StopBelow {
+				break
+			}
 		}
 	}
 	tsp.ArgInt("best_makespan", best.Makespan)

@@ -86,6 +86,32 @@ func TestSolveCancelledReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestSolveCancelledMidRefinementLoop: a cold evaluation whose deadline
+// expires after its coarse resolutions (whose solves stop early) still
+// returns a valid schedule and bound at the finer resolution, flagged.
+func TestSolveCancelledMidRefinementLoop(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	res, err := hilp.Solve(ctx, hilp.DefaultWorkload(), hilp.SoC{CPUCores: 4, GPUSMs: 64},
+		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Effort: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cancelled {
+		t.Error("Cancelled not set")
+	}
+	if res.Refinements == 0 {
+		t.Fatal("the deadline expired before the loop refined")
+	}
+	s := res.Sched
+	if err := s.Schedule.Validate(res.Instance.Problem); err != nil {
+		t.Errorf("invalid schedule: %v", err)
+	}
+	if s.LowerBound < 0 || s.LowerBound > s.Schedule.Makespan || res.Gap < 0 || res.Gap > 1 {
+		t.Errorf("bound %d, makespan %d, gap %g: not a valid certificate", s.LowerBound, s.Schedule.Makespan, res.Gap)
+	}
+}
+
 func TestSweepWithOptions(t *testing.T) {
 	w := miniWorkload()
 	specs := []hilp.SoC{
