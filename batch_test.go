@@ -119,3 +119,38 @@ func TestSolveBatchCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBatchColdMatchesSolve checks the batch path against the
+// single-point one under every baseline: with cache and warm starts off, each
+// batch point carries exactly the metrics Solve returns for its spec.
+func TestSolveBatchColdMatchesSolve(t *testing.T) {
+	w := miniWorkload()
+	specs := batchSpecs()
+	for _, b := range []hilp.Baseline{hilp.BaselineHILP, hilp.BaselineGables, hilp.BaselineMultiAmdahl} {
+		opts := []hilp.Option{
+			hilp.WithBaseline(b),
+			hilp.WithProfile(quickProfile),
+			hilp.WithSolver(hilp.SolverConfig{Seed: 1, Effort: 0.2}),
+		}
+		res, err := hilp.SolveBatch(context.Background(), w, specs,
+			append(opts, hilp.WithCache(false), hilp.WithWarmStart(false), hilp.WithWorkers(1))...)
+		if err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if res.Stats.Solved != len(specs) {
+			t.Errorf("%s: %d of %d points solved", b, res.Stats.Solved, len(specs))
+		}
+		for i, p := range res.Points {
+			want, err := hilp.Solve(context.Background(), w, specs[i], opts...)
+			if err != nil || p.Err != nil {
+				t.Fatalf("%s: point %d: solve error %v, batch error %v", b, i, err, p.Err)
+			}
+			if p.Speedup != want.Speedup || p.MakespanSec != want.MakespanSec ||
+				p.Gap != want.Gap || p.WLP != want.WLP {
+				t.Errorf("%s: point %d = {speedup %g makespan %g gap %g wlp %g}, Solve = {%g %g %g %g}",
+					b, i, p.Speedup, p.MakespanSec, p.Gap, p.WLP,
+					want.Speedup, want.MakespanSec, want.Gap, want.WLP)
+			}
+		}
+	}
+}

@@ -208,8 +208,9 @@ func main() {
 
 	var maPoints, gabPoints []hilp.Point
 	if *withBase && !interrupted {
-		maPoints = dse.Sweep(ctx, specs, *workers, dse.MAEvaluator(w))
-		gabPoints = dse.Sweep(ctx, specs, *workers, dse.GablesEvaluator(w, hilp.DSEProfile, cfg))
+		bo := dse.BatchOptions{Workers: *workers}
+		maPoints = dse.Run(ctx, specs, bo, dse.MAEvaluator(w)).Points
+		gabPoints = dse.Run(ctx, specs, bo, dse.GablesEvaluator(w, hilp.DSEProfile, cfg)).Points
 	}
 	if followWait != nil {
 		followWait()

@@ -43,8 +43,9 @@ func main() {
 		log.Fatal(err)
 	}
 	hilpPts := batch.Points
-	maPts := dse.Sweep(context.Background(), specs, workers, dse.MAEvaluator(w))
-	gabPts := dse.Sweep(context.Background(), specs, workers, dse.GablesEvaluator(w, hilp.DSEProfile, cfg))
+	bo := dse.BatchOptions{Workers: workers}
+	maPts := dse.Run(context.Background(), specs, bo, dse.MAEvaluator(w)).Points
+	gabPts := dse.Run(context.Background(), specs, bo, dse.GablesEvaluator(w, hilp.DSEProfile, cfg)).Points
 
 	show := func(name string, pts []hilp.Point) {
 		for _, p := range pts {

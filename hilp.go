@@ -26,18 +26,18 @@
 //	if err != nil { ... }
 //	fmt.Printf("speedup %.1fx, WLP %.2f, gap %.1f%%\n", res.Speedup, res.WLP, 100*res.Gap)
 //
-// Solve, Sweep, and SolveBatch are the context-first entry points:
-// cancelling the context (or letting its deadline expire) stops the solve
-// early and returns the best incumbent found so far with a valid
-// optimality-gap certificate, never an error. Functional options
-// (WithProfile, WithSolver, WithObs, WithBaseline, WithCache,
-// WithWarmStart, WithPruning, ...) select resolution, solver effort,
-// observability, the evaluation model, and the sweep engine's cross-point
-// reuse. SolveBatch amortizes work across a batch of design points:
-// canonical-model memoization, neighbor warm starts over the spec lattice,
-// and certified dominance pruning. The pre-context entry points (Evaluate,
-// EvaluateWith, SweepHILP, ...) remain as thin deprecated wrappers,
-// collected in legacy.go.
+// Solve evaluates one design point and SolveBatch a whole design space;
+// SolveInstanceContext and SolveModelContext solve built instances and
+// custom models. All of them take a context first: cancelling it (or
+// letting its deadline expire) stops the solve early and returns the best
+// incumbent found so far with a valid optimality-gap certificate, never an
+// error. Functional options (WithProfile, WithSolver, WithObs,
+// WithBaseline, WithWorkers, WithCache, WithWarmStart, WithPruning, ...)
+// select resolution, solver effort, observability, the evaluation model,
+// and the sweep engine's cross-point reuse. SolveBatch amortizes work
+// across the batch: canonical-model memoization and neighbor warm starts
+// over the spec lattice (both on by default), and certified dominance
+// pruning (opt-in).
 package hilp
 
 import (
@@ -174,8 +174,8 @@ func DesignSpace(w Workload, cfg SpaceConfig) []SoC {
 	return soc.DesignSpace(w, cfg)
 }
 
-// Observability re-exports: thread an *ObsContext through SolverConfig.Obs
-// (and SweepOptions.Obs) to trace and meter the entire solve stack. See
+// Observability re-exports: thread an *ObsContext through WithObs (or
+// SolverConfig.Obs) to trace and meter the entire solve stack. See
 // internal/obs for span and metric semantics.
 type (
 	// ObsContext carries tracing/metrics sinks through the solver layers.
@@ -192,8 +192,6 @@ type (
 	SolveRecord = obs.SolveRecord
 	// GapCertificate is a solve's final incumbent/bound pair.
 	GapCertificate = obs.Certificate
-	// SweepOptions configures an observed design-space sweep.
-	SweepOptions = dse.SweepOptions
 	// SweepProgress is one live update of a running sweep.
 	SweepProgress = dse.Progress
 	// BatchResult is the outcome of SolveBatch: points in input order plus
@@ -249,7 +247,7 @@ func UniformWorkload(seed int64, apps int) (Workload, error) {
 
 // BuildInstance expands a (workload, SoC) pair into a solvable instance at
 // an explicit resolution, for what-if pinning (Instance.PinPhase and
-// friends) before solving with SolveInstance.
+// friends) before solving with SolveInstanceContext.
 func BuildInstance(w Workload, spec SoC, stepSec float64, horizon int) (*Instance, error) {
 	return core.BuildInstance(w, spec, stepSec, horizon)
 }

@@ -1,6 +1,7 @@
 package hilp_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestEvaluateQuickstart(t *testing.T) {
 		DSAs:              []hilp.DSA{{PEs: 16, Target: "LUD"}, {PEs: 16, Target: "HS"}},
 		GPUFrequenciesMHz: []float64{765},
 	}
-	res, err := hilp.Evaluate(w, spec)
+	res, err := hilp.Solve(context.Background(), w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestModelOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hilp.EvaluateWith(w, spec, hilp.DSEProfile, cfg)
+	res, err := hilp.Solve(context.Background(), w, spec, hilp.WithSolver(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gab, err := hilp.Gables(w, spec, hilp.DSEProfile, cfg)
+	gab, err := hilp.Solve(context.Background(), w, spec, hilp.WithBaseline(hilp.BaselineGables), hilp.WithSolver(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,13 @@ func TestDesignSpaceSweepFacade(t *testing.T) {
 	for i := range specs {
 		specs[i].GPUFrequenciesMHz = []float64{765}
 	}
-	pts := hilp.SweepHILP(w, specs, 1, hilp.DSEProfile, hilp.SolverConfig{Seed: 1, Effort: 0.15})
+	batch, err := hilp.SolveBatch(context.Background(), w, specs,
+		hilp.WithCache(false), hilp.WithWarmStart(false), hilp.WithWorkers(1),
+		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Effort: 0.15}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := batch.Points
 	front := hilp.ParetoFront(pts)
 	if len(front) == 0 {
 		t.Fatal("empty Pareto front")
@@ -89,7 +96,7 @@ func TestCustomGraphFacade(t *testing.T) {
 		Clusters: []hilp.CustomCluster{{Name: "cpu"}, {Name: "acc"}},
 		Tasks:    tasks,
 	}
-	inst, res, err := hilp.SolveModel(m, 1, 20, hilp.SolverConfig{Seed: 1})
+	inst, res, err := hilp.SolveModelContext(context.Background(), m, 1, 20, hilp.SolverConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestSDAFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, res, err := hilp.SolveModel(m, 0.5, 100, hilp.SolverConfig{Seed: 1})
+	inst, res, err := hilp.SolveModelContext(context.Background(), m, 0.5, 100, hilp.SolverConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,9 @@ func reasonOf(err error) string {
 }
 
 // SolveProblem is the fault-tolerant solve entry: every solver invocation in
-// the stack (the adaptive loop, hilp.SolveInstance/SolveModel, hilp-serve)
-// goes through it instead of calling scheduler.Solve directly. The chain is
+// the stack (the adaptive loop, hilp.SolveInstanceContext and
+// SolveModelContext, hilp-serve) goes through it instead of calling
+// scheduler.Solve directly. The chain is
 //
 //	primary solve -> retry once with perturbed settings -> heuristic fallback
 //

@@ -24,7 +24,7 @@ func TestSweepCancelStopsDispatch(t *testing.T) {
 		}
 		return Point{Label: s.Label(), Speedup: 1}
 	}
-	points := Sweep(ctx, specs, 1, eval)
+	points := Run(ctx, specs, BatchOptions{Workers: 1}, eval).Points
 	defer cancel()
 
 	if n := evaluated.Load(); n >= int64(len(specs)) {
@@ -63,7 +63,7 @@ func TestSweepPropagatesEvaluatorCancelledFlag(t *testing.T) {
 	eval := func(_ context.Context, s soc.Spec) Point {
 		return Point{Label: s.Label(), Cancelled: true}
 	}
-	points := Sweep(context.Background(), specs, 1, eval)
+	points := Run(context.Background(), specs, BatchOptions{Workers: 1}, eval).Points
 	for i, p := range points {
 		if !p.Cancelled {
 			t.Errorf("point %d lost Cancelled flag", i)

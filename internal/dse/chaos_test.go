@@ -50,7 +50,7 @@ func TestChaosSweep(t *testing.T) {
 	octx := &obs.Context{Metrics: reg}
 	profile := core.Profile{InitialStepSec: 10, Horizon: 200}
 	cfg := scheduler.Config{Seed: 1, Effort: 0.2}
-	points := SweepOpts(ctx, specs, SweepOptions{Obs: octx}, HILPEvaluator(w, profile, cfg))
+	points := RunHILP(ctx, w, specs, profile, cfg, BatchOptions{Obs: octx}).Points
 
 	if len(points) != len(specs) {
 		t.Fatalf("sweep returned %d/%d points", len(points), len(specs))
@@ -128,7 +128,7 @@ func TestChaosSweepCleanWithRetryBudget(t *testing.T) {
 		Sites: []string{faults.SiteSolve},
 	})
 	ctx := faults.NewContext(context.Background(), inj)
-	points := Sweep(ctx, specs, 4, HILPEvaluator(w, core.Profile{InitialStepSec: 10, Horizon: 200}, scheduler.Config{Seed: 1, Effort: 0.2}))
+	points := RunHILP(ctx, w, specs, core.Profile{InitialStepSec: 10, Horizon: 200}, scheduler.Config{Seed: 1, Effort: 0.2}, BatchOptions{Workers: 4}).Points
 	for i, p := range points {
 		if p.Err != nil {
 			t.Errorf("point %d failed despite retry budget: %v", i, p.Err)
@@ -139,5 +139,34 @@ func TestChaosSweepCleanWithRetryBudget(t *testing.T) {
 	}
 	if inj.FiredCount() == 0 {
 		t.Error("no faults fired; the retry path was not exercised")
+	}
+}
+
+// TestRunGablesDegradedNotCached checks that Gables points carry the
+// degradation of their solve and that the engine never replays a degraded
+// Gables point as a cache hit: with every solve-site attempt faulted, both
+// copies of a duplicated spec fall back to the heuristic and are solved.
+func TestRunGablesDegradedNotCached(t *testing.T) {
+	w := rodinia.Workload{Name: "chaos-gables", Apps: rodinia.DefaultWorkload().Apps[:2]}
+	spec := soc.Spec{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
+	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Times: 100,
+		Kinds: []faults.Kind{faults.KindError}, Sites: []string{faults.SiteSolve}})
+	ctx := faults.NewContext(context.Background(), inj)
+	eval := GablesEvaluator(w, core.Profile{InitialStepSec: 10, Horizon: 200}, scheduler.Config{Seed: 1, Effort: 0.2})
+	res := Run(ctx, []soc.Spec{spec, spec}, BatchOptions{Workers: 1, Cache: true}, eval)
+
+	for i, p := range res.Points {
+		if p.Err != nil {
+			t.Fatalf("point %d failed: %v", i, p.Err)
+		}
+		if !p.Degraded || p.FallbackReason != core.ReasonInjected {
+			t.Errorf("point %d: degraded=%v reason=%q, want true/%s", i, p.Degraded, p.FallbackReason, core.ReasonInjected)
+		}
+		if p.CacheHit {
+			t.Errorf("point %d replayed a degraded result from the cache", i)
+		}
+	}
+	if res.Stats.Solved != 2 || res.Stats.CacheHits != 0 {
+		t.Errorf("stats = %+v, want 2 solved and 0 cache hits", res.Stats)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"hilp/internal/baselines"
 	"hilp/internal/core"
-	"hilp/internal/obs"
 	"hilp/internal/rodinia"
 	"hilp/internal/scheduler"
 	"hilp/internal/soc"
@@ -135,43 +134,6 @@ type Progress struct {
 	Elapsed, ETA time.Duration
 }
 
-// SweepOptions configures SweepOpts beyond the evaluator itself.
-type SweepOptions struct {
-	// Workers is the goroutine fan-out; < 1 selects runtime.GOMAXPROCS(0).
-	Workers int
-	// Obs receives the sweep span and per-point metrics; nil disables them.
-	Obs *obs.Context
-	// OnProgress, when non-nil, is called after every completed point.
-	// Calls are serialized and Done is strictly increasing.
-	OnProgress func(Progress)
-}
-
-// Sweep evaluates every spec, fanning out across workers goroutines, and
-// returns points in input order. workers < 1 selects runtime.GOMAXPROCS(0).
-// Failed evaluations carry their error in Point.Err and are skipped by
-// ParetoFront.
-//
-// Cancelling ctx stops the sweep dispatching new specs: in-flight
-// evaluations finish (returning their best incumbents — see Evaluator), and
-// every spec never dispatched comes back with Point.Err set to the context
-// error, so completed points are preserved and unevaluated ones are
-// distinguishable.
-func Sweep(ctx context.Context, specs []soc.Spec, workers int, eval Evaluator) []Point {
-	return SweepOpts(ctx, specs, SweepOptions{Workers: workers}, eval)
-}
-
-// SweepOpts is Sweep with observability: a sweep span, per-point latency and
-// failure metrics, and a live progress callback. It is a thin compatibility
-// wrapper over the sweep engine (Run) with every cross-point reuse feature
-// disabled; use RunHILP for cache/warm-start/pruning sweeps.
-func SweepOpts(ctx context.Context, specs []soc.Spec, opts SweepOptions, eval Evaluator) []Point {
-	return Run(ctx, specs, BatchOptions{
-		Workers:    opts.Workers,
-		Obs:        opts.Obs,
-		OnProgress: opts.OnProgress,
-	}, eval).Points
-}
-
 // ParetoFront returns the subset of points that are Pareto-optimal for
 // (minimize area, maximize speedup), sorted by ascending area. Errored and
 // pruned points are excluded (a pruned point's certificate guarantees it
@@ -218,42 +180,12 @@ func Best(points []Point) (Point, bool) {
 	return best, found
 }
 
-// HILPEvaluator builds an Evaluator that scores SoCs with HILP.
-func HILPEvaluator(w rodinia.Workload, profile core.Profile, cfg scheduler.Config) Evaluator {
-	return func(ctx context.Context, s soc.Spec) Point {
-		p := newPoint(s)
-		res, err := core.Solve(ctx, w, s, profile, cfg)
-		if err != nil {
-			p.Err = err
-			return p
-		}
-		p.Speedup = res.Speedup
-		p.WLP = res.WLP
-		p.Gap = res.Gap
-		p.MakespanSec = res.MakespanSec
-		p.Cancelled = res.Cancelled
-		p.Degraded = res.Degraded
-		p.FallbackReason = res.FallbackReason
-		return p
-	}
-}
-
 // GablesEvaluator builds an Evaluator that scores SoCs with parallel-mode
 // Gables.
 func GablesEvaluator(w rodinia.Workload, profile core.Profile, cfg scheduler.Config) Evaluator {
 	return func(ctx context.Context, s soc.Spec) Point {
-		p := newPoint(s)
 		res, err := baselines.Gables(ctx, w, s, profile, cfg)
-		if err != nil {
-			p.Err = err
-			return p
-		}
-		p.Speedup = res.Speedup
-		p.WLP = res.WLP
-		p.Gap = res.Gap
-		p.MakespanSec = res.MakespanSec
-		p.Cancelled = res.Cancelled
-		return p
+		return pointOf(s, res, err)
 	}
 }
 
@@ -276,4 +208,23 @@ func MAEvaluator(w rodinia.Workload) Evaluator {
 
 func newPoint(s soc.Spec) Point {
 	return Point{Spec: s, Label: s.Label(), AreaMM2: s.AreaMM2(), Mix: Classify(s)}
+}
+
+// pointOf fills spec s's point from a scheduling evaluation (HILP or
+// Gables): the error, or the result's metrics and its cancellation and
+// degradation flags.
+func pointOf(s soc.Spec, res *core.Result, err error) Point {
+	p := newPoint(s)
+	if err != nil {
+		p.Err = err
+		return p
+	}
+	p.Speedup = res.Speedup
+	p.WLP = res.WLP
+	p.Gap = res.Gap
+	p.MakespanSec = res.MakespanSec
+	p.Cancelled = res.Cancelled
+	p.Degraded = res.Degraded
+	p.FallbackReason = res.FallbackReason
+	return p
 }

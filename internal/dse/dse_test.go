@@ -82,9 +82,9 @@ func TestSweepPreservesOrderAndParallelizes(t *testing.T) {
 		{CPUCores: 2},
 		{CPUCores: 4},
 	}
-	pts := Sweep(context.Background(), specs, 3, func(_ context.Context, s soc.Spec) Point {
+	pts := Run(context.Background(), specs, BatchOptions{Workers: 3}, func(_ context.Context, s soc.Spec) Point {
 		return Point{Label: s.Label(), AreaMM2: s.AreaMM2()}
-	})
+	}).Points
 	for i, s := range specs {
 		if pts[i].Label != s.Label() {
 			t.Errorf("point %d = %s, want %s", i, pts[i].Label, s.Label())
@@ -101,12 +101,13 @@ func TestEvaluatorsOnMiniSpace(t *testing.T) {
 	profile := core.Profile{InitialStepSec: 10, Horizon: 200, RefineWhileBelow: 10, MaxRefinements: 1}
 	cfg := scheduler.Config{Seed: 1, Effort: 0.2}
 
-	for name, eval := range map[string]Evaluator{
-		"hilp":   HILPEvaluator(w, profile, cfg),
-		"gables": GablesEvaluator(w, profile, cfg),
-		"ma":     MAEvaluator(w),
+	ctx, bo := context.Background(), BatchOptions{Workers: 1}
+	for name, sweep := range map[string]func() BatchResult{
+		"hilp":   func() BatchResult { return RunHILP(ctx, w, specs, profile, cfg, bo) },
+		"gables": func() BatchResult { return Run(ctx, specs, bo, GablesEvaluator(w, profile, cfg)) },
+		"ma":     func() BatchResult { return Run(ctx, specs, bo, MAEvaluator(w)) },
 	} {
-		pts := Sweep(context.Background(), specs, 1, eval)
+		pts := sweep().Points
 		for i, p := range pts {
 			if p.Err != nil {
 				t.Errorf("%s: point %d: %v", name, i, p.Err)

@@ -102,8 +102,9 @@ type BatchResult struct {
 // RunHILP runs the sweep engine with full cross-point reuse: canonical-model
 // memoization, neighbor warm starts, and certified dominance pruning, per
 // opts. It is the engine behind hilp.SolveBatch and the hilp-serve
-// /v1/batch route. With every feature disabled it is equivalent to
-// Sweep(ctx, specs, workers, HILPEvaluator(w, profile, cfg)).
+// /v1/batch route. With every feature disabled each point is one
+// independent core.Solve, the plain cold sweep. The sweep span and metrics
+// go to opts.Obs, or to cfg.Obs when opts.Obs is nil.
 //
 // Warm-started and pruned batches are result-equivalent to a cold sweep:
 // every solved point carries its own valid gap certificate (warm seeds only
@@ -130,7 +131,14 @@ func RunHILP(ctx context.Context, w rodinia.Workload, specs []soc.Spec, profile 
 // eval (ignored when opts was built by RunHILP), honoring Workers, Obs,
 // OnProgress, and — for canonically identical specs — Cache. WarmStart and
 // Prune require model knowledge and are only active under RunHILP.
-// Points come back in input order, like Sweep.
+// Points come back in input order. Failed evaluations carry their error in
+// Point.Err and are skipped by ParetoFront.
+//
+// Cancelling ctx stops the engine dispatching new specs: in-flight
+// evaluations finish (returning their best incumbents — see Evaluator), and
+// every spec never dispatched comes back with Point.Err set to the context
+// error, so completed points are preserved and unevaluated ones are
+// distinguishable.
 func Run(ctx context.Context, specs []soc.Spec, opts BatchOptions, eval Evaluator) BatchResult {
 	if opts.hilp == nil {
 		opts.WarmStart = false
@@ -483,7 +491,7 @@ func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart) (p Poin
 	pctx = obs.WithRequestID(pctx, pid)
 	defer func() {
 		if rec := recover(); rec != nil {
-			pe := scheduler.NewPanicError("dse.Sweep", rec)
+			pe := scheduler.NewPanicError("dse.Run", rec)
 			r.octx.Counter(obs.MSweepPanics).Inc()
 			r.octx.Log(pctx, slog.LevelError, "sweep: point panicked",
 				"point", i, "spec", r.specs[i].Label(), "error", pe.Error(), "stack", string(pe.Stack))
@@ -504,19 +512,10 @@ func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart) (p Poin
 		// self-warming inside the adaptive-resolution loop.
 		cfg.Warm = &scheduler.WarmStart{}
 	}
-	p = newPoint(r.specs[i])
 	res, err := core.Solve(pctx, h.w, r.specs[i], h.profile, cfg)
-	if err != nil {
-		p.Err = err
+	if p = pointOf(r.specs[i], res, err); err != nil {
 		return p, nil
 	}
-	p.Speedup = res.Speedup
-	p.WLP = res.WLP
-	p.Gap = res.Gap
-	p.MakespanSec = res.MakespanSec
-	p.Cancelled = res.Cancelled
-	p.Degraded = res.Degraded
-	p.FallbackReason = res.FallbackReason
 	p.WarmStarted = hint != nil
 	return p, res.WarmHint()
 }

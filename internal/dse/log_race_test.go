@@ -61,7 +61,7 @@ func TestConcurrentWorkersShareOneLogger(t *testing.T) {
 		return p
 	}
 	ctx := obs.WithRequestID(context.Background(), "race-test")
-	points := SweepOpts(ctx, specs, SweepOptions{Workers: 8, Obs: octx}, eval)
+	points := Run(ctx, specs, BatchOptions{Workers: 8, Obs: octx}, eval).Points
 
 	seen := map[string]bool{}
 	dec := json.NewDecoder(bytes.NewReader(w.bytes()))

@@ -34,7 +34,7 @@ func TestSweepDefaultsWorkers(t *testing.T) {
 	// workers <= 0 must select GOMAXPROCS rather than deadlock with zero
 	// workers draining the job channel.
 	for _, workers := range []int{0, -3} {
-		points := Sweep(context.Background(), stubSpecs(6), workers, stubEvaluator)
+		points := Run(context.Background(), stubSpecs(6), BatchOptions{Workers: workers}, stubEvaluator).Points
 		if len(points) != 6 {
 			t.Fatalf("workers=%d: %d points, want 6", workers, len(points))
 		}
@@ -50,14 +50,14 @@ func TestSweepOptsProgress(t *testing.T) {
 	const n = 12
 	var updates []Progress
 	reg := obs.NewRegistry()
-	opts := SweepOptions{
+	opts := BatchOptions{
 		Workers: 4,
 		Obs:     &obs.Context{Metrics: reg},
 		// OnProgress calls are serialized, so appending without a lock is the
 		// exact guarantee under test (the race detector enforces it).
 		OnProgress: func(p Progress) { updates = append(updates, p) },
 	}
-	points := SweepOpts(context.Background(), stubSpecs(n), opts, stubEvaluator)
+	points := Run(context.Background(), stubSpecs(n), opts, stubEvaluator).Points
 	if len(points) != n {
 		t.Fatalf("%d points, want %d", len(points), n)
 	}
@@ -94,7 +94,7 @@ func TestSweepOptsProgress(t *testing.T) {
 
 func TestSweepOptsRecordsSpan(t *testing.T) {
 	ctx := &obs.Context{Tracer: obs.NewTracer()}
-	SweepOpts(context.Background(), stubSpecs(3), SweepOptions{Workers: 2, Obs: ctx}, stubEvaluator)
+	Run(context.Background(), stubSpecs(3), BatchOptions{Workers: 2, Obs: ctx}, stubEvaluator)
 	recs := ctx.Tracer.Snapshot()
 	if len(recs) != 1 || recs[0].Name != "sweep" {
 		t.Fatalf("spans = %+v, want one sweep span", recs)
@@ -112,9 +112,9 @@ func TestSweepOptsRecordsSpan(t *testing.T) {
 
 func TestSweepOrderIndependentOfWorkers(t *testing.T) {
 	specs := stubSpecs(9)
-	want := fmt.Sprint(Sweep(context.Background(), specs, 1, stubEvaluator))
+	want := fmt.Sprint(Run(context.Background(), specs, BatchOptions{Workers: 1}, stubEvaluator).Points)
 	for _, workers := range []int{2, 8} {
-		if got := fmt.Sprint(Sweep(context.Background(), specs, workers, stubEvaluator)); got != want {
+		if got := fmt.Sprint(Run(context.Background(), specs, BatchOptions{Workers: workers}, stubEvaluator).Points); got != want {
 			t.Errorf("workers=%d reordered points:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}

@@ -38,6 +38,12 @@ func fig7Space(w rodinia.Workload, opts Options, powerW, advantage float64) []so
 	return specs
 }
 
+// hilpSweep evaluates every spec with HILP as a plain cold sweep: no
+// cross-point reuse, so each point is one independent solve.
+func hilpSweep(w rodinia.Workload, specs []soc.Spec, opts Options) []dse.Point {
+	return dse.RunHILP(context.Background(), w, specs, dseProfile(), opts.schedConfig(), dse.BatchOptions{Workers: opts.Workers}).Points
+}
+
 // Fig7DesignSpace sweeps the full design space under the paper's 600 W
 // budget with all three models.
 func Fig7DesignSpace(opts Options) (*Fig7Result, error) {
@@ -45,10 +51,11 @@ func Fig7DesignSpace(opts Options) (*Fig7Result, error) {
 	w := rodinia.DefaultWorkload()
 	specs := fig7Space(w, opts, soc.DefaultPowerBudget, soc.DefaultDSAAdvantage)
 
+	ctx, bo := context.Background(), dse.BatchOptions{Workers: opts.Workers}
 	out := &Fig7Result{}
-	out.MA = dse.Sweep(context.Background(), specs, opts.Workers, dse.MAEvaluator(w))
-	out.Gables = dse.Sweep(context.Background(), specs, opts.Workers, dse.GablesEvaluator(w, dseProfile(), opts.schedConfig()))
-	out.HILP = dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+	out.MA = dse.Run(ctx, specs, bo, dse.MAEvaluator(w)).Points
+	out.Gables = dse.Run(ctx, specs, bo, dse.GablesEvaluator(w, dseProfile(), opts.schedConfig())).Points
+	out.HILP = hilpSweep(w, specs, opts)
 	for _, pts := range [][]dse.Point{out.MA, out.Gables, out.HILP} {
 		for _, p := range pts {
 			if p.Err != nil {
@@ -109,7 +116,7 @@ func Fig8aPowerConstrained(opts Options) (*Fig8aResult, error) {
 	}
 	for _, budget := range out.Budgets {
 		specs := fig7Space(w, opts, budget, soc.DefaultDSAAdvantage)
-		pts := dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+		pts := hilpSweep(w, specs, opts)
 		for i := range pts {
 			// Severely power-capped SoCs whose every unit exceeds the budget
 			// are genuinely infeasible; keep them out of the front but do
@@ -161,7 +168,7 @@ func Fig8bDSAAdvantage(opts Options) (*Fig8bResult, error) {
 	}
 	for _, adv := range out.Advantages {
 		specs := fig7Space(w, opts, soc.DefaultPowerBudget, adv)
-		pts := dse.Sweep(context.Background(), specs, opts.Workers, dse.HILPEvaluator(w, dseProfile(), opts.schedConfig()))
+		pts := hilpSweep(w, specs, opts)
 		for _, p := range pts {
 			if p.Err != nil {
 				return nil, fmt.Errorf("experiments: fig 8b point %s: %w", p.Label, p.Err)

@@ -2,25 +2,18 @@ package lint
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strings"
 )
 
-// legacyMarker is the only suppression the suite honors: a `//lint:legacy`
-// directive on a deprecated wrapper's doc comment, and only inside a file
-// named legacy.go, so the allowlist cannot leak into live code.
-const legacyMarker = "//lint:legacy"
-
-// CtxFirst enforces the context-first API contract from PR 3: every exported
-// Solve*/Sweep*/Batch* entry point must take a context.Context as its first
-// parameter so solves are cancellable with anytime semantics. Deprecated
-// pre-context wrappers are exempt only when they live in legacy.go and carry
-// the //lint:legacy directive in their doc comment.
+// CtxFirst enforces the context-first API contract: every exported
+// Solve*/Sweep*/Batch*/Evaluate* entry point must take a context.Context as
+// its first parameter so solves are cancellable with anytime semantics. There
+// is no suppression: pre-context wrappers are not allowed anywhere.
 const ctxFirstName = "ctxfirst"
 
 var CtxFirst = &Analyzer{
 	Name: ctxFirstName,
-	Doc:  "exported Solve*/Sweep*/Batch* entry points must take context.Context first",
+	Doc:  "exported Solve*/Sweep*/Batch*/Evaluate* entry points must take context.Context first",
 	Run:  runCtxFirst,
 }
 
@@ -30,21 +23,14 @@ func runCtxFirst(p *Package) []Diagnostic {
 		if p.isTestFile(f.Pos()) {
 			continue
 		}
-		isLegacyFile := filepath.Base(p.Filename(f.Pos())) == "legacy.go"
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !isEntryPointName(fd.Name.Name) {
-				continue
-			}
-			if isLegacyFile && hasLegacyMarker(fd.Doc) {
-				continue
-			}
-			if firstParamIsContext(p, fd) {
+			if !ok || !isEntryPointName(fd.Name.Name) || firstParamIsContext(p, fd) {
 				continue
 			}
 			out = append(out, p.Diag(ctxFirstName, fd.Name.Pos(),
-				"exported entry point %s must take a context.Context as its first parameter (mark deprecated wrappers in legacy.go with %s)",
-				fd.Name.Name, legacyMarker))
+				"exported entry point %s must take a context.Context as its first parameter",
+				fd.Name.Name))
 		}
 	}
 	return out
@@ -57,22 +43,8 @@ func isEntryPointName(name string) bool {
 	}
 	return strings.HasPrefix(name, "Solve") ||
 		strings.HasPrefix(name, "Sweep") ||
-		strings.HasPrefix(name, "Batch")
-}
-
-// hasLegacyMarker reports whether the doc comment carries the //lint:legacy
-// directive. Directives are excluded from CommentGroup.Text, so the raw list
-// is scanned.
-func hasLegacyMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == legacyMarker {
-			return true
-		}
-	}
-	return false
+		strings.HasPrefix(name, "Batch") ||
+		strings.HasPrefix(name, "Evaluate")
 }
 
 // firstParamIsContext reports whether the declaration's first parameter is a

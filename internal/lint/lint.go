@@ -3,8 +3,8 @@
 // packages and runs project-specific analyzers enforcing the invariants the
 // HILP reproduction's results depend on:
 //
-//   - ctxfirst: exported Solve*/Sweep*/Batch* entry points take a
-//     context.Context first, so every solve is cancellable (PR 3).
+//   - ctxfirst: exported Solve*/Sweep*/Batch*/Evaluate* entry points take
+//     a context.Context first, so every solve is cancellable.
 //   - nodeterm: no wall clock, global math/rand, or map-order-dependent
 //     iteration feeding output in the deterministic packages, so run reports
 //     and gap certificates stay byte-reproducible (PR 2).

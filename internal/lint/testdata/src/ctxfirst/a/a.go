@@ -1,5 +1,6 @@
-// Package a exercises the ctxfirst analyzer: exported Solve*/Sweep*/Batch*
-// entry points must take a context.Context first.
+// Package a exercises the ctxfirst analyzer: exported
+// Solve*/Sweep*/Batch*/Evaluate* entry points must take a context.Context
+// first.
 package a
 
 import "context"
@@ -12,6 +13,11 @@ func SolveBare(n int) int { return n } // want "exported entry point SolveBare m
 func SweepAll() {} // want "exported entry point SweepAll must take a context.Context as its first parameter"
 
 func BatchRun(n int, ctx context.Context) {} // want "exported entry point BatchRun must take a context.Context as its first parameter"
+
+func EvaluateBare(n int) int { return n } // want "exported entry point EvaluateBare must take a context.Context as its first parameter"
+
+// EvaluateGood takes its context first and is silent.
+func EvaluateGood(ctx context.Context, n int) int { return n }
 
 // solveInternal is unexported and out of contract.
 func solveInternal(n int) int { return n }

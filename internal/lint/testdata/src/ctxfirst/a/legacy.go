@@ -2,12 +2,11 @@ package a
 
 import "context"
 
-// SolveOld is a deprecated pre-context wrapper; the directive plus the
-// legacy.go filename exempt it.
+// SolveOld carries the retired //lint:legacy directive inside legacy.go: no
+// file name or directive exempts an entry point any more.
 //
 //lint:legacy
-func SolveOld(n int) int { return SolveGood(context.Background(), n) }
+func SolveOld(n int) int { return SolveGood(context.Background(), n) } // want "exported entry point SolveOld must take a context.Context as its first parameter"
 
-// SolveUnmarked is deprecated but carries no directive, so even legacy.go
-// does not exempt it.
+// SolveUnmarked carries no directive either.
 func SolveUnmarked(n int) int { return n } // want "exported entry point SolveUnmarked must take a context.Context as its first parameter"

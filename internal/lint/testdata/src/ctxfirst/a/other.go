@@ -1,7 +1,7 @@
 package a
 
-// SweepMarkedWrongFile carries the directive outside legacy.go, where it has
-// no effect: the allowlist cannot leak into live code.
+// SweepMarkedWrongFile carries the retired directive outside legacy.go, where
+// it has no effect either.
 //
 //lint:legacy
 func SweepMarkedWrongFile() {} // want "exported entry point SweepMarkedWrongFile must take a context.Context as its first parameter"

@@ -867,27 +867,21 @@ func (s *Server) planSweep(req *wire.SweepRequest) (*sweepPlan, *apiError) {
 		}
 		specs = soc.DesignSpace(workload, space.ToSpaceConfig())
 	}
+	// Sweep-engine features (schema v2) are opt-in per request and default
+	// to off, preserving v1 sweep behavior exactly.
 	opts := []hilp.Option{
 		hilp.WithBaseline(baseline),
 		hilp.WithObs(s.obs),
 		hilp.WithWorkers(s.cfg.Workers),
+		hilp.WithCache(req.Cache),
+		hilp.WithWarmStart(req.WarmStart),
+		hilp.WithPruning(req.Pruning),
 	}
 	if req.Profile != nil {
 		opts = append(opts, hilp.WithProfile(req.Profile.ToProfile()))
 	}
 	if req.Solver != nil {
 		opts = append(opts, hilp.WithSolver(req.Solver.ToConfig()))
-	}
-	// Sweep-engine features (schema v2) are opt-in per request and default
-	// to off, preserving v1 sweep behavior exactly.
-	if req.Cache {
-		opts = append(opts, hilp.WithCache(true))
-	}
-	if req.WarmStart {
-		opts = append(opts, hilp.WithWarmStart(true))
-	}
-	if req.Pruning {
-		opts = append(opts, hilp.WithPruning(true))
 	}
 	// Normalize the request for the journal: explicit specs (so recovery
 	// does not depend on design-space enumeration being stable across
@@ -965,13 +959,17 @@ func (s *Server) runJob(j *job, workload rodinia.Workload, specs []soc.Spec, opt
 	j.fail(lastErr)
 }
 
-// sweepOnce runs one sweep attempt. Panics — including injected ones —
-// convert to errors so runJob's retry loop can classify them.
+// sweepOnce runs one sweep attempt. Panics — including injected ones, and
+// those hilp.SolveBatch recovers itself — convert to errors so runJob's
+// retry loop can classify them.
 func (s *Server) sweepOnce(ctx context.Context, j *job, workload rodinia.Workload, specs []soc.Spec, opts []hilp.Option) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.obs.Counter(obs.MServePanics).Inc()
 			err = scheduler.NewPanicError("server.sweep", rec)
+		}
+		var pe *scheduler.PanicError
+		if errors.As(err, &pe) {
+			s.obs.Counter(obs.MServePanics).Inc()
 		}
 	}()
 	fp := faults.FromContext(ctx)
@@ -979,8 +977,11 @@ func (s *Server) sweepOnce(ctx context.Context, j *job, workload rodinia.Workloa
 	if ferr := fp.InjectErr(ctx, faults.SiteServe); ferr != nil {
 		return ferr
 	}
-	points := hilp.Sweep(ctx, workload, specs, opts...)
-	j.finish(points, ctx.Err() != nil)
+	res, err := hilp.SolveBatch(ctx, workload, specs, opts...)
+	if err != nil {
+		return err
+	}
+	j.finish(res.Points, ctx.Err() != nil)
 	if ctx.Err() != nil {
 		s.obs.Counter(obs.MServeDeadlines).Inc()
 	}

@@ -218,6 +218,48 @@ func TestEvaluateBadRequests(t *testing.T) {
 	}
 }
 
+// TestSweepJobGablesBaseline runs a v1 sweep under the Gables baseline: the
+// job completes with clean points, and the duplicated spec is solved again
+// rather than replayed, because v1 sweeps leave the engine's cache off.
+func TestSweepJobGablesBaseline(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := wire.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
+	req := wire.SweepRequest{
+		Workload: &wire.Workload{Apps: []wire.App{{Bench: "LUD"}, {Bench: "HS"}}},
+		Baseline: "gables",
+		Specs:    []wire.SoC{{CPUCores: 1, GPUFrequenciesMHz: []float64{765}}, spec, spec},
+		Profile:  &wire.Profile{InitialStepSec: 10, Horizon: 200, RefineWhileBelow: 0, MaxRefinements: 0},
+		Solver:   &wire.SolverConfig{Seed: 1, Effort: 0.2},
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts.URL+"/v1/sweep", data)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var j wire.Job
+	if err := json.Unmarshal(body, &j); err != nil {
+		t.Fatal(err)
+	}
+	j = pollJob(t, ts.URL, j.URL)
+	if j.Status != "done" {
+		t.Fatalf("job status %q (%s), want done", j.Status, j.Error)
+	}
+	if j.Result == nil || len(j.Result.Points) != 3 {
+		t.Fatalf("job result %+v", j.Result)
+	}
+	for i, p := range j.Result.Points {
+		if p.Error != "" || p.Speedup <= 0 || p.Cancelled || p.Degraded || p.CacheHit {
+			t.Errorf("point %d not a clean cold solve: %+v", i, p)
+		}
+	}
+	if a, b := j.Result.Points[1], j.Result.Points[2]; a.Speedup != b.Speedup || a.MakespanSec != b.MakespanSec {
+		t.Errorf("duplicate specs disagree: %+v vs %+v", a, b)
+	}
+}
+
 func TestSweepJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := wire.SweepRequest{

@@ -29,11 +29,12 @@ func benchSpec() hilp.SoC {
 func benchEvaluate(b *testing.B, octx *hilp.ObsContext) {
 	w := benchWorkload()
 	spec := benchSpec()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := hilp.SolverConfig{Seed: 1, Effort: 0.25, Restarts: 1, Obs: octx}
-		if _, err := hilp.EvaluateWith(w, spec, hilp.DSEProfile, cfg); err != nil {
+		if _, err := hilp.Solve(ctx, w, spec, hilp.WithSolver(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}

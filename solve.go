@@ -9,8 +9,8 @@ import (
 	"hilp/internal/scheduler"
 )
 
-// Baseline selects the evaluation model Solve and Sweep apply to a design
-// point. HILP is the default; Gables and MultiAmdahl are the two
+// Baseline selects the evaluation model Solve and SolveBatch apply to a
+// design point. HILP is the default; Gables and MultiAmdahl are the two
 // state-of-the-art early-stage models the paper compares against (§V).
 type Baseline int
 
@@ -39,8 +39,8 @@ func (b Baseline) String() string {
 	return "unknown"
 }
 
-// Option customizes Solve and Sweep. The zero configuration evaluates with
-// HILP at the DSE profile and default solver effort.
+// Option customizes Solve and SolveBatch. The zero configuration evaluates
+// with HILP at the DSE profile and default solver effort.
 type Option func(*solveOptions)
 
 type solveOptions struct {
@@ -52,14 +52,12 @@ type solveOptions struct {
 	onPoint    func(index int, p Point)
 	resume     map[int]Point
 	obs        *ObsContext
-	// Sweep-engine features. Tri-state (nil = caller said nothing) because
-	// the defaults differ per entry point: SolveBatch turns cache and warm
-	// starts on, Sweep keeps everything off for exact v1 behavior.
-	cache, warm, prune *bool
+	// Sweep-engine features (SolveBatch only).
+	cache, warm, prune bool
 }
 
 func buildOptions(opts []Option) solveOptions {
-	o := solveOptions{profile: core.DSEProfile, cfg: scheduler.Config{Seed: 1}}
+	o := solveOptions{profile: core.DSEProfile, cfg: scheduler.Config{Seed: 1}, cache: true, warm: true}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -97,20 +95,20 @@ func WithWorkers(n int) Option {
 	return func(o *solveOptions) { o.workers = n }
 }
 
-// WithProgress installs a live progress callback for Sweep, invoked after
-// every completed point. Solve ignores it.
+// WithProgress installs a live progress callback for SolveBatch, invoked
+// after every completed point. Solve ignores it.
 func WithProgress(fn func(SweepProgress)) Option {
 	return func(o *solveOptions) { o.onProgress = fn }
 }
 
-// WithCheckpoint installs a per-point checkpoint hook for Sweep and
-// SolveBatch: fn is called once for every completed point with its input
-// index, serialized, covering solved, cached, and pruned points. It is the
-// attachment point for the crash-recovery journal — hilp-dse and hilp-serve
-// append a journal record from it — but any durable sink works. Points
-// pre-filled via WithResume are not re-reported (they are already in
-// whatever store fn writes to), and points never dispatched because the
-// context was cancelled are not reported either. Solve ignores it.
+// WithCheckpoint installs a per-point checkpoint hook for SolveBatch: fn is
+// called once for every completed point with its input index, serialized,
+// covering solved, cached, and pruned points. It is the attachment point
+// for the crash-recovery journal — hilp-dse and hilp-serve append a journal
+// record from it — but any durable sink works. Points pre-filled via
+// WithResume are not re-reported (they are already in whatever store fn
+// writes to), and points never dispatched because the context was
+// cancelled are not reported either. Solve ignores it.
 func WithCheckpoint(fn func(index int, p Point)) Option {
 	return func(o *solveOptions) { o.onPoint = fn }
 }
@@ -118,31 +116,30 @@ func WithCheckpoint(fn func(index int, p Point)) Option {
 // WithResume pre-fills completed points from a prior run, keyed by input
 // index — the other half of crash recovery. Resumed points are marked
 // Point.Resumed, counted in BatchStats.Resumed, and never dispatched, so a
-// resumed Sweep or SolveBatch re-solves strictly fewer points than it
-// recovers. The caller is responsible for resuming against the same model
-// (workload, specs, profile, solver); the binaries enforce this with a
-// canonical model key recorded in the journal. Solve ignores it.
+// resumed SolveBatch re-solves strictly fewer points than it recovers. The
+// caller is responsible for resuming against the same model (workload,
+// specs, profile, solver); the binaries enforce this with a canonical model
+// key recorded in the journal. Solve ignores it.
 func WithResume(points map[int]Point) Option {
 	return func(o *solveOptions) { o.resume = points }
 }
 
 // WithCache enables (or disables) canonical-model memoization across the
-// points of one Sweep or SolveBatch call: points whose canonical (workload,
+// points of one SolveBatch call: points whose canonical (workload,
 // normalized spec) model hashes equal an earlier point's are replayed
-// byte-identically instead of re-solved. Defaults to on for SolveBatch, off
-// for Sweep. Solve ignores it.
+// byte-identically instead of re-solved. Defaults to on. Solve ignores it.
 func WithCache(on bool) Option {
-	return func(o *solveOptions) { o.cache = &on }
+	return func(o *solveOptions) { o.cache = on }
 }
 
 // WithWarmStart enables (or disables) neighbor warm starts: the sweep is
 // ordered as a walk over the spec lattice and each point's search is seeded
 // with the repaired incumbent schedule of its nearest already-solved
 // neighbor. Warm-started solves keep their gap certificates — the seed only
-// changes where the search starts. HILP baseline only; defaults to on for
-// SolveBatch, off for Sweep. Solve ignores it.
+// changes where the search starts. HILP baseline only; defaults to on.
+// Solve ignores it.
 func WithWarmStart(on bool) Option {
-	return func(o *solveOptions) { o.warm = &on }
+	return func(o *solveOptions) { o.warm = on }
 }
 
 // WithPruning enables (or disables) certified dominance pruning: points
@@ -150,10 +147,9 @@ func WithWarmStart(on bool) Option {
 // the gap target are skipped when a discretization-independent bound proves
 // they could not enter the (area, speedup) Pareto front. Pruned points come
 // back with Point.Pruned set and a SpeedupBound certificate instead of
-// solved metrics. HILP baseline only; defaults to off everywhere. Solve
-// ignores it.
+// solved metrics. HILP baseline only; defaults to off. Solve ignores it.
 func WithPruning(on bool) Option {
-	return func(o *solveOptions) { o.prune = &on }
+	return func(o *solveOptions) { o.prune = on }
 }
 
 // Solve evaluates the workload on the SoC under the selected baseline
@@ -196,40 +192,18 @@ func Solve(ctx context.Context, w Workload, spec SoC, opts ...Option) (res *Resu
 	}
 }
 
-// Sweep evaluates every spec under the selected baseline, fanning out across
-// WithWorkers goroutines, and returns points in input order. Failed
-// evaluations carry their error in Point.Err.
+// SolveBatch evaluates every spec under the selected baseline through the
+// sweep engine, fanning out across WithWorkers goroutines, and returns the
+// points in input order together with the engine's reuse statistics.
+// Failed evaluations carry their error in Point.Err.
 //
-// Cancelling ctx stops the sweep dispatching new specs: in-flight
-// evaluations finish with their best incumbents (Point.Cancelled set), and
-// specs never dispatched come back with Point.Err set to the context error,
-// so completed points are preserved.
-// The sweep engine's cross-point reuse (WithCache, WithWarmStart,
-// WithPruning) defaults to off here, so a plain Sweep behaves exactly like
-// earlier releases; SolveBatch is the reuse-by-default entry point.
-func Sweep(ctx context.Context, w Workload, specs []SoC, opts ...Option) []Point {
-	o := buildOptions(opts)
-	bo := dse.BatchOptions{
-		Workers:    o.workers,
-		Obs:        o.obs,
-		OnProgress: o.onProgress,
-		OnPoint:    o.onPoint,
-		Resume:     o.resume,
-		Cache:      o.cache != nil && *o.cache,
-		WarmStart:  o.warm != nil && *o.warm,
-		Prune:      o.prune != nil && *o.prune,
-	}
-	return runBatch(ctx, w, specs, o, bo).Points
-}
-
-// SolveBatch evaluates every spec like Sweep but through the full sweep
-// engine, returning the points together with the engine's reuse statistics.
 // Canonical-model memoization and neighbor warm starts default to on (turn
-// them off with WithCache(false) / WithWarmStart(false)); certified
-// dominance pruning stays opt-in via WithPruning(true) because pruned
-// points come back with a bound certificate instead of solved metrics.
+// them off with WithCache(false) / WithWarmStart(false) for a plain cold
+// sweep); certified dominance pruning stays opt-in via WithPruning(true)
+// because pruned points come back with a bound certificate instead of
+// solved metrics. The analytic baselines only use memoization.
 //
-// Batches are result-equivalent to a cold Sweep: cache hits are
+// Batches are result-equivalent to a cold sweep: cache hits are
 // byte-identical replays of their donor point, warm-started solves carry
 // their own valid gap certificates, and pruned points are certified
 // Pareto-redundant. With WithWorkers(n > 1) the warm-start donor choice
@@ -237,8 +211,9 @@ func Sweep(ctx context.Context, w Workload, specs []SoC, opts ...Option) []Point
 // within their certificates; use WithWorkers(1) for bit-reproducible
 // batches.
 //
-// Cancellation and panic isolation follow Solve/Sweep: in-flight points
-// finish with their best incumbents, never-dispatched points carry the
+// Cancellation and panic isolation follow Solve: cancelling ctx stops the
+// engine dispatching new specs, in-flight points finish with their best
+// incumbents (Point.Cancelled set), never-dispatched points carry the
 // context error, and a panic escaping the stack is returned as *PanicError.
 func SolveBatch(ctx context.Context, w Workload, specs []SoC, opts ...Option) (res *BatchResult, err error) {
 	defer func() {
@@ -253,25 +228,18 @@ func SolveBatch(ctx context.Context, w Workload, specs []SoC, opts ...Option) (r
 		OnProgress: o.onProgress,
 		OnPoint:    o.onPoint,
 		Resume:     o.resume,
-		Cache:      o.cache == nil || *o.cache,
-		WarmStart:  o.warm == nil || *o.warm,
-		Prune:      o.prune != nil && *o.prune,
+		Cache:      o.cache,
+		WarmStart:  o.warm,
+		Prune:      o.prune,
 	}
-	br := runBatch(ctx, w, specs, o, bo)
-	return &br, nil
-}
-
-// runBatch dispatches to the sweep engine: the HILP baseline gets the
-// model-aware entry point (warm starts and pruning need the workload and
-// solver config), the analytic baselines run as generic evaluators where
-// only memoization applies.
-func runBatch(ctx context.Context, w Workload, specs []SoC, o solveOptions, bo dse.BatchOptions) dse.BatchResult {
+	var br dse.BatchResult
 	switch o.baseline {
 	case BaselineGables:
-		return dse.Run(ctx, specs, bo, dse.GablesEvaluator(w, o.profile, o.cfg))
+		br = dse.Run(ctx, specs, bo, dse.GablesEvaluator(w, o.profile, o.cfg))
 	case BaselineMultiAmdahl:
-		return dse.Run(ctx, specs, bo, dse.MAEvaluator(w))
+		br = dse.Run(ctx, specs, bo, dse.MAEvaluator(w))
 	default:
-		return dse.RunHILP(ctx, w, specs, o.profile, o.cfg, bo)
+		br = dse.RunHILP(ctx, w, specs, o.profile, o.cfg, bo)
 	}
+	return &br, nil
 }

@@ -17,22 +17,6 @@ func miniWorkload() hilp.Workload {
 
 var quickProfile = hilp.Profile{InitialStepSec: 10, Horizon: 200, RefineWhileBelow: 0, MaxRefinements: 0}
 
-func TestSolveDefaultsMatchEvaluate(t *testing.T) {
-	w := miniWorkload()
-	spec := hilp.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
-	a, err := hilp.Solve(context.Background(), w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hilp.Evaluate(w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Speedup != b.Speedup || a.MakespanSec != b.MakespanSec {
-		t.Errorf("Solve and its Evaluate wrapper disagree: %+v vs %+v", a, b)
-	}
-}
-
 func TestSolveBaselines(t *testing.T) {
 	w := miniWorkload()
 	spec := hilp.SoC{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}}
@@ -119,12 +103,18 @@ func TestSweepWithOptions(t *testing.T) {
 		{CPUCores: 2, GPUSMs: 16, GPUFrequenciesMHz: []float64{765}},
 	}
 	var progressCalls int
-	points := hilp.Sweep(context.Background(), w, specs,
+	batch, err := hilp.SolveBatch(context.Background(), w, specs,
+		hilp.WithCache(false),
+		hilp.WithWarmStart(false),
 		hilp.WithProfile(quickProfile),
 		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Effort: 0.2}),
 		hilp.WithWorkers(2),
 		hilp.WithProgress(func(p hilp.SweepProgress) { progressCalls++ }),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := batch.Points
 	if len(points) != 2 {
 		t.Fatalf("%d points, want 2", len(points))
 	}
