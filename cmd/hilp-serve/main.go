@@ -69,7 +69,6 @@ func main() {
 		maxBody        = flag.Int64("max-body", 0, "request body limit in bytes before 413 (0 = 8 MiB)")
 		jobRetries     = flag.Int("job-retries", 0, "retries for transiently failing sweep jobs (0 = 2, negative disables)")
 		faultSpec      = flag.String("faults", "", "chaos-test fault injection spec, e.g. seed=1,rate=0.1,kinds=panic+timeout,sites=solve (empty disables)")
-		verbose        = flag.Bool("v", false, "log requests and solver progress to stderr")
 		logFormat      = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel       = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		logRing        = flag.Int("log-ring", 512, "recent structured-log records retained for GET /debug/logs")
@@ -110,10 +109,6 @@ func main() {
 	logger := obs.NewLoggerHandler(obs.StampRequestID(obs.Fanout(stderrHandler, logBuf)), slog.LevelDebug)
 
 	octx := &obs.Context{Metrics: obs.NewRegistry(), Logger: logger}
-	if *verbose {
-		octx.Verbosity = 1
-		octx.LogWriter = os.Stderr
-	}
 	var exporter *obs.OTLPExporter
 	if *otlpEndpoint != "" {
 		exporter = obs.NewOTLPExporter(*otlpEndpoint, "hilp-serve")

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -64,10 +65,10 @@ func main() {
 	ctx := obs.WithRequestID(context.Background(), reqID)
 
 	octx := ocli.Context()
-	if octx != nil && ocli.Verbose {
+	if ocli.Verbose && ocli.LogFormat == "" {
 		// A single evaluation is cheap to narrate in full: include the
-		// per-refinement solver lines, not just top-level progress.
-		octx.Verbosity = 2
+		// per-refinement solver lines (debug), not just top-level progress.
+		octx.Logger = obs.NewLogger(os.Stderr, "text", slog.LevelDebug)
 	}
 	var rec *obs.Recorder
 	if *reportPath != "" {

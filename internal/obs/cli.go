@@ -17,7 +17,7 @@ import (
 //
 //	-trace file        write a Chrome trace-event JSON file (chrome://tracing)
 //	-metrics file      write a metrics dump (.prom/.txt → Prometheus text, else JSON)
-//	-v                 verbose progress logging to stderr
+//	-v                 progress logging to stderr (slog text, info and up)
 //	-pprof addr        serve net/http/pprof on addr (e.g. localhost:6060)
 //	-log-format fmt    structured logging to stderr: text or json
 //	-log-level level   minimum structured-log level: debug, info, warn, error
@@ -55,7 +55,7 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.TracePath, "trace", "", "write a Chrome trace-event JSON file (load at chrome://tracing)")
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write a metrics dump (.prom/.txt: Prometheus text, otherwise JSON)")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	fs.BoolVar(&c.Verbose, "v", false, "verbose progress logging to stderr")
+	fs.BoolVar(&c.Verbose, "v", false, "progress logging to stderr (slog text, info and up)")
 	fs.StringVar(&c.LogFormat, "log-format", "", "structured logging to stderr: text or json (empty disables unless -v)")
 	fs.StringVar(&c.LogLevel, "log-level", "info", "minimum structured-log level: debug, info, warn, or error")
 	fs.StringVar(&c.OTLPEndpoint, "otlp-endpoint", "", "OTLP/HTTP JSON trace endpoint (e.g. http://localhost:4318/v1/traces); spans are exported on exit")
@@ -94,25 +94,20 @@ func (c *CLI) Context() *Context {
 	if c.MetricsPath != "" {
 		ctx.Metrics = NewRegistry()
 	}
-	if c.Verbose {
-		ctx.Verbosity = 1
-		ctx.LogWriter = os.Stderr
-	}
-	if c.LogFormat != "" {
+	switch {
+	case c.LogFormat != "":
 		level, err := ParseLogLevel(c.LogLevel)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v; using info\n", err)
 		}
-		// -v without an explicit level lowers the floor to debug, matching
-		// the legacy verbose behavior.
+		// -v without an explicit level lowers the floor to debug.
 		if c.Verbose && c.LogLevel == "info" {
 			level = slog.LevelDebug
 		}
 		ctx.Logger = NewLogger(os.Stderr, c.LogFormat, level)
+	case c.Verbose:
+		ctx.Logger = NewLogger(os.Stderr, "text", slog.LevelInfo)
 	}
-	// -v alone keeps the legacy plain-text writer: structured call sites
-	// degrade to "msg key=value" lines through Context.Log's fallback, so
-	// verbose output and its level gating stay backward-compatible.
 	c.ctx = ctx
 	return ctx
 }

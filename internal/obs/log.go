@@ -79,14 +79,7 @@ type Logger struct {
 // "json" emits one JSON object per line; anything else emits logfmt-style
 // text. level is the minimum level emitted.
 func NewLogger(w io.Writer, format string, level slog.Level) *Logger {
-	var h slog.Handler
-	opts := &slog.HandlerOptions{Level: level}
-	if strings.EqualFold(format, "json") {
-		h = slog.NewJSONHandler(w, opts)
-	} else {
-		h = slog.NewTextHandler(w, opts)
-	}
-	return NewLoggerHandler(reqHandler{h}, level)
+	return NewLoggerHandler(reqHandler{NewHandler(w, format, level)}, level)
 }
 
 // NewLoggerHandler wraps an arbitrary slog.Handler (e.g. a Fanout of a

@@ -119,20 +119,13 @@ func TestParseLogLevel(t *testing.T) {
 	}
 }
 
-func TestContextLogFallsBackToLogWriter(t *testing.T) {
-	// Without a structured Logger, Context.Log degrades to the legacy Logf
-	// path with the same verbosity gating (-v semantics preserved).
-	var buf bytes.Buffer
-	c := &Context{LogWriter: &buf, Verbosity: 1}
-	ctx := WithRequestID(context.Background(), "legacy-1")
-	c.Log(ctx, slog.LevelDebug, "too detailed") // verbosity 2 > 1: suppressed
-	c.Log(ctx, slog.LevelWarn, "warned", "k", "v")
-	out := buf.String()
-	if strings.Contains(out, "too detailed") {
-		t.Errorf("debug leaked at verbosity 1:\n%s", out)
+func TestCLIVerboseAttachesInfoLogger(t *testing.T) {
+	l := (&CLI{Verbose: true}).Context().Logger
+	if !l.Enabled(slog.LevelInfo) {
+		t.Error("-v logger does not log at info")
 	}
-	if !strings.Contains(out, "warned") || !strings.Contains(out, "req=legacy-1") || !strings.Contains(out, "k=v") {
-		t.Errorf("fallback line missing content:\n%s", out)
+	if l.Enabled(slog.LevelDebug) {
+		t.Error("-v logger logs at debug")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obs is the solver stack's observability substrate: hierarchical
 // tracing spans exportable as Chrome trace-event JSON, a metrics registry
-// with Prometheus-text and JSON dumps, and verbose progress logging.
+// with Prometheus-text and JSON dumps, and structured (slog) logging.
 //
 // The package is zero-dependency (stdlib only) and designed so the disabled
 // path costs nothing: a nil *Context is fully usable — every method is
@@ -26,11 +26,9 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"runtime/debug"
-	"sync"
 )
 
 // Context carries the observability sinks threaded through the solver
@@ -44,10 +42,6 @@ type Context struct {
 	// Recorder receives per-solve convergence events (the flight recorder);
 	// nil disables recording.
 	Recorder *Recorder
-	// Verbosity gates Logf: messages at level <= Verbosity are written.
-	Verbosity int
-	// LogWriter receives verbose log lines; nil disables logging.
-	LogWriter io.Writer
 	// Logger receives structured log records (see Log); nil disables them.
 	// Records are stamped with the context.Context's correlation ID.
 	Logger *Logger
@@ -59,13 +53,9 @@ type Context struct {
 	cur Span
 }
 
-// logMu serializes verbose log lines across goroutines (sweeps log from
-// worker goroutines against a shared writer).
-var logMu sync.Mutex
-
 // Enabled reports whether any sink is attached.
 func (c *Context) Enabled() bool {
-	return c != nil && (c.Tracer != nil || c.Metrics != nil || c.LogWriter != nil || c.Recorder != nil || c.Logger != nil || c.Bus != nil)
+	return c != nil && (c.Tracer != nil || c.Metrics != nil || c.Recorder != nil || c.Logger != nil || c.Bus != nil)
 }
 
 // Publish fans one event out to the bus subscribers. Disabled contexts (or
@@ -183,69 +173,18 @@ func (c *Context) Guard(where string) {
 	fmt.Fprintf(os.Stderr, "hilp: panic in %s goroutine (recovered): %v\n%s", where, r, debug.Stack())
 }
 
-// Logf writes one verbose log line when level <= Verbosity and a writer is
-// attached. Lines are serialized across goroutines.
-func (c *Context) Logf(level int, format string, args ...any) {
-	if c == nil || c.LogWriter == nil || level > c.Verbosity {
-		return
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	fmt.Fprintf(c.LogWriter, format, args...)
-	io.WriteString(c.LogWriter, "\n")
-}
-
-// verbosityFor maps a structured level onto the legacy Logf verbosity scale
-// (warn/error always show, info needs -v, debug needs -vv).
-func verbosityFor(level slog.Level) int {
-	switch {
-	case level >= slog.LevelWarn:
-		return 0
-	case level >= slog.LevelInfo:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // LogEnabled reports whether a structured record at level would be emitted,
 // so call sites can skip building expensive attributes.
 func (c *Context) LogEnabled(level slog.Level) bool {
-	if c == nil {
-		return false
-	}
-	if c.Logger.Enabled(level) {
-		return true
-	}
-	return c.LogWriter != nil && verbosityFor(level) <= c.Verbosity
+	return c != nil && c.Logger.Enabled(level)
 }
 
 // Log emits one structured log record with alternating key/value args (slog
-// conventions), stamped with ctx's correlation ID. When no structured Logger
-// is attached it degrades to the legacy verbose writer as a "msg key=value"
-// line, so -v output keeps working at converted call sites. Disabled
-// contexts return immediately.
+// conventions), stamped with ctx's correlation ID. Contexts without a Logger
+// return immediately.
 func (c *Context) Log(ctx context.Context, level slog.Level, msg string, args ...any) {
-	if c == nil || (c.Logger == nil && c.LogWriter == nil) {
+	if c == nil {
 		return
 	}
-	if c.Logger != nil {
-		c.Logger.Log(ctx, level, msg, args...)
-		return
-	}
-	v := verbosityFor(level)
-	if v > c.Verbosity {
-		return
-	}
-	line := msg
-	if id := RequestID(ctx); id != "" {
-		line += " req=" + id
-	}
-	for i := 0; i+1 < len(args); i += 2 {
-		line += fmt.Sprintf(" %v=%v", args[i], args[i+1])
-	}
-	if len(args)%2 == 1 {
-		line += fmt.Sprintf(" %v", args[len(args)-1])
-	}
-	c.Logf(v, "%s", line)
+	c.Logger.Log(ctx, level, msg, args...)
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"bytes"
-	"strings"
+	"context"
+	"log/slog"
 	"testing"
 )
 
@@ -22,7 +22,7 @@ func TestNilContextIsSafe(t *testing.T) {
 	c.Counter("c").Inc()
 	c.Gauge("g").Set(1)
 	c.Histogram("h").Observe(1)
-	c.Logf(0, "dropped %d", 1)
+	c.Log(context.Background(), slog.LevelError, "dropped")
 }
 
 // TestNoOpPathAllocatesNothing is the ≤2%-overhead guarantee in its
@@ -47,7 +47,7 @@ func TestNoOpPathAllocatesNothing(t *testing.T) {
 			ctx.Counter(MSolves).Inc()
 			ctx.Gauge(MCertifiedGap).Set(0.1)
 			ctx.Histogram(MSweepPointSec).Observe(0.5)
-			ctx.Logf(2, "suppressed")
+			ctx.Log(context.Background(), slog.LevelDebug, "suppressed")
 			sp.End()
 		})
 		if allocs != 0 {
@@ -96,19 +96,5 @@ func TestEnabledAndTracing(t *testing.T) {
 	}
 	if (&Context{Metrics: NewRegistry()}).Tracing() {
 		t.Error("metrics-only context reports tracing")
-	}
-}
-
-func TestLogfVerbosityGating(t *testing.T) {
-	var buf bytes.Buffer
-	ctx := &Context{LogWriter: &buf, Verbosity: 1}
-	ctx.Logf(1, "shown %s", "line")
-	ctx.Logf(2, "hidden")
-	got := buf.String()
-	if !strings.Contains(got, "shown line\n") {
-		t.Errorf("level-1 line missing from %q", got)
-	}
-	if strings.Contains(got, "hidden") {
-		t.Errorf("level-2 line leaked into %q", got)
 	}
 }

@@ -120,11 +120,10 @@ func (r *Recorder) Begin(solver string) SolveTrace {
 type SolveTrace struct {
 	r   *Recorder
 	idx int
-	// bus, solver, and req carry the live fan-out target and its event
-	// labels; bus is nil for traces begun directly on a Recorder.
+	// bus and solver carry the live fan-out target and its event label; bus
+	// is nil for traces begun directly on a Recorder.
 	bus    *Bus
 	solver string
-	req    string
 }
 
 // Active reports whether the trace records anywhere.
@@ -138,7 +137,7 @@ func (t SolveTrace) event(kind EventKind, iter int, value float64) {
 		t.r.mu.Unlock()
 	}
 	if t.bus != nil {
-		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: kind.String(), Req: t.req, Iter: iter, Value: value})
+		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: kind.String(), Iter: iter, Value: value})
 	}
 }
 
@@ -164,7 +163,7 @@ func (t SolveTrace) Certify(incumbent, bound float64, proven bool) {
 		t.r.mu.Unlock()
 	}
 	if t.bus != nil {
-		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: "certificate", Req: t.req, Value: incumbent, Gap: cert.Gap()})
+		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: "certificate", Value: incumbent, Gap: cert.Gap()})
 	}
 }
 

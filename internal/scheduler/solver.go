@@ -238,9 +238,9 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 	}
 
 	var (
-		best   Schedule
-		ok     bool
-		method string
+		best     Schedule
+		ok       bool
+		improver string
 	)
 	switch cfg.Improver {
 	case "tabu":
@@ -252,7 +252,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 			StopBelow:  cfg.refineBelow,
 			Obs:        sctx,
 		})
-		method = "tabu"
+		improver = "tabu"
 	case "", "anneal":
 		best, ok = Anneal(ctx, p, AnnealConfig{
 			Iterations: int(cfg.Effort * float64(2000+400*len(p.Tasks))),
@@ -263,7 +263,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 			StopBelow:  cfg.refineBelow,
 			Obs:        sctx,
 		})
-		method = "anneal"
+		improver = "anneal"
 	default:
 		return Result{}, fmt.Errorf("scheduler: unknown improver %q (want anneal or tabu)", cfg.Improver)
 	}
@@ -271,7 +271,8 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 		return Result{}, fmt.Errorf("%w: a task's every option exceeds a resource capacity", ErrInfeasible)
 	}
 	rt.Incumbent(1, float64(best.Makespan))
-	stageEv(method, 1, float64(best.Makespan))
+	stageEv(improver, 1, float64(best.Makespan))
+	method := improver
 
 	// The improver only ends below refineBelow by stopping there. Later
 	// stages can only lower the makespan, so the adaptive loop refines past
@@ -332,7 +333,7 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 				lb = best.Makespan
 				rt.Bound(4, float64(lb))
 				if !ex.Found {
-					method = "anneal+exact-proof"
+					method = improver + "+exact-proof"
 				}
 			}
 		} else {

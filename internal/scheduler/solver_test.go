@@ -58,6 +58,21 @@ func TestSolveFig3PowerConstrained(t *testing.T) {
 	}
 }
 
+func TestExactProofLabelNamesImprover(t *testing.T) {
+	// On the power-capped Figure 2 instance the exact stage proves the
+	// improver's schedule optimal without finding a better one; the label
+	// names the improver that found it.
+	for _, improver := range []string{"anneal", "tabu"} {
+		res, err := Solve(context.Background(), exampleFig2(true), Config{Seed: 1, Improver: improver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := improver + "+exact-proof"; res.Method != want {
+			t.Errorf("improver %s: method %q, want %q", improver, res.Method, want)
+		}
+	}
+}
+
 func TestSolveNaiveSingleCPU(t *testing.T) {
 	// With only the CPU available everything serializes: makespan 17.
 	p := exampleFig2(false)

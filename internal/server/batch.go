@@ -2,14 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"time"
 
 	"hilp"
-	"hilp/internal/faults"
-	"hilp/internal/obs"
+	"hilp/internal/rodinia"
 	"hilp/internal/soc"
 	"hilp/internal/wire"
 )
@@ -20,167 +16,69 @@ import (
 // dominance pruning opt-in. Unlike /v1/sweep it answers in one round trip
 // and its response is LRU-cached like /v1/evaluate; unlike the engine-less
 // handlers it admits the whole batch on one pool token and fans out
-// internally across Config.Workers goroutines.
+// internally across Config.Workers goroutines. Its specs resolve inside the
+// validate stage.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter(obs.MServeRequests).Inc()
-	inFlight := s.obs.Gauge(obs.MServeInFlight)
-	inFlight.Add(1)
-	defer inFlight.Add(-1)
-	start := time.Now()
-	defer func() {
-		s.obs.Histogram(obs.MServeRequestSec).ObserveEx(time.Since(start).Seconds(), obs.RequestID(r.Context()))
-	}()
-	st := obs.StageTimerFrom(r.Context())
-
-	stopValidate := st.Start(obs.StageValidate)
-	var req wire.BatchRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		stopValidate()
-		s.writeAPIError(r.Context(), w, apiErr)
-		return
-	}
-	if err := wire.CheckVersion(req.SchemaVersion); err != nil {
-		stopValidate()
-		s.writeError(r.Context(), w, http.StatusBadRequest, "version", err)
-		return
-	}
-	var ww wire.Workload
-	if req.Workload != nil {
-		ww = *req.Workload
-	}
-	workload, err := ww.ToWorkload()
-	if err != nil {
-		stopValidate()
-		s.writeAPIError(r.Context(), w, solveErr(err))
-		return
-	}
-	specs := make([]soc.Spec, 0, len(req.Specs))
-	for _, sp := range req.Specs {
-		specs = append(specs, sp.ToSpec())
-	}
-	if len(specs) == 0 {
-		var space wire.Space
-		if req.Space != nil {
-			space = *req.Space
-		}
-		specs = soc.DesignSpace(workload, space.ToSpaceConfig())
-	}
-	stopValidate()
-
-	stopCache := st.Start(obs.StageCacheLookup)
-	canonical, err := json.Marshal(req)
-	if err != nil {
-		stopCache()
-		s.writeError(r.Context(), w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	key := cacheKey(canonical)
-	sum := summaryFrom(r.Context())
-	if body, ok := s.cache.get(key); ok {
-		stopCache()
-		s.obs.Counter(obs.MServeCacheHits).Inc()
-		if sum != nil {
-			sum.Cache = "hit"
-		}
-		w.Header().Set("X-HILP-Cache", "hit")
-		s.writeJSON(r.Context(), w, http.StatusOK, body)
-		return
-	}
-	stopCache()
-	s.obs.Counter(obs.MServeCacheMisses).Inc()
-	if sum != nil {
-		sum.Cache = "miss"
-	}
-
-	// The batch holds one pool token for its whole duration; the engine fans
-	// out across Config.Workers internally, so total solve concurrency stays
-	// bounded by the pool either way.
-	stopSchedule := st.Start(obs.StageSchedule)
-	if err := s.acquire(r.Context()); err != nil {
-		stopSchedule()
-		if errors.Is(err, errBusy) {
-			s.obs.Counter(obs.MServeRejected).Inc()
-			s.writeError(r.Context(), w, http.StatusTooManyRequests, "busy", err)
-		} else {
-			s.writeError(r.Context(), w, http.StatusServiceUnavailable, "busy", err)
-		}
-		return
-	}
-	stopSchedule()
-	defer s.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveTimeout(req.TimeoutSec))
-	defer cancel()
-	ctx = faults.WithKey(faults.NewContext(ctx, s.cfg.Faults), s.reqSeq.Add(1))
-
-	opts := []hilp.Option{
-		hilp.WithObs(s.obs),
-		hilp.WithWorkers(s.cfg.Workers),
-	}
-	if req.Profile != nil {
-		opts = append(opts, hilp.WithProfile(req.Profile.ToProfile()))
-	}
-	if req.Solver != nil {
-		opts = append(opts, hilp.WithSolver(req.Solver.ToConfig()))
-	}
-	if req.Cache != nil {
-		opts = append(opts, hilp.WithCache(*req.Cache))
-	}
-	if req.WarmStart != nil {
-		opts = append(opts, hilp.WithWarmStart(*req.WarmStart))
-	}
-	if req.Pruning {
-		opts = append(opts, hilp.WithPruning(true))
-	}
-
-	stopSolve := st.Start(obs.StageSolve)
-	res, err := hilp.SolveBatch(ctx, workload, specs, opts...)
-	stopSolve()
-	if err != nil {
-		s.writeAPIError(r.Context(), w, solveErr(err))
-		return
-	}
-	cancelled := false
-	cacheable := true
-	for _, p := range res.Points {
-		if p.Cancelled {
-			cancelled = true
-		}
-		if p.Err != nil || p.Cancelled || p.Degraded {
-			cacheable = false
-		}
-	}
-	if cancelled {
-		s.obs.Counter(obs.MServeDeadlines).Inc()
-	}
-	if sum != nil {
-		sum.Solver = "batch"
-		sum.Cancelled = cancelled
-	}
-
-	stopEncode := st.Start(obs.StageEncode)
-	defer stopEncode()
-	resp := wire.BatchResponse{
-		SchemaVersion: wire.SchemaVersion,
-		Stats: wire.BatchStats{
-			Points:      res.Stats.Points,
-			Solved:      res.Stats.Solved,
-			CacheHits:   res.Stats.CacheHits,
-			WarmStarted: res.Stats.WarmStarted,
-			Pruned:      res.Stats.Pruned,
+	var (
+		req      wire.BatchRequest
+		workload rodinia.Workload
+		specs    []soc.Spec
+	)
+	s.serveCachedSolve(w, r, cachedSolve{
+		req:        &req,
+		version:    &req.SchemaVersion,
+		timeoutSec: &req.TimeoutSec,
+		validate: func() (apiErr *apiError) {
+			workload, specs, apiErr = resolveSpecs(req.Workload, req.Specs, req.Space)
+			return apiErr
 		},
-	}
-	resp.Points, resp.Pareto = wirePoints(res.Points)
-	body, err := wire.Marshal(resp)
-	if err != nil {
-		s.writeError(r.Context(), w, http.StatusInternalServerError, "", err)
-		return
-	}
-	// Like /v1/evaluate: never replay deadline-shaped or degraded results to
-	// later callers.
-	if cacheable {
-		s.cache.put(key, body)
-	}
-	w.Header().Set("X-HILP-Cache", "miss")
-	s.writeJSON(r.Context(), w, http.StatusOK, body)
+		solve: func(ctx context.Context) (solveOutcome, *apiError) {
+			// The batch holds one pool token for its whole duration; the
+			// engine fans out across Config.Workers internally, so total
+			// solve concurrency stays bounded by the pool either way.
+			opts := []hilp.Option{
+				hilp.WithObs(s.obs),
+				hilp.WithWorkers(s.cfg.Workers),
+			}
+			if req.Profile != nil {
+				opts = append(opts, hilp.WithProfile(req.Profile.ToProfile()))
+			}
+			if req.Solver != nil {
+				opts = append(opts, hilp.WithSolver(req.Solver.ToConfig()))
+			}
+			if req.Cache != nil {
+				opts = append(opts, hilp.WithCache(*req.Cache))
+			}
+			if req.WarmStart != nil {
+				opts = append(opts, hilp.WithWarmStart(*req.WarmStart))
+			}
+			if req.Pruning {
+				opts = append(opts, hilp.WithPruning(true))
+			}
+			res, err := hilp.SolveBatch(ctx, workload, specs, opts...)
+			if err != nil {
+				return solveOutcome{}, solveErr(err)
+			}
+			out := solveOutcome{solver: "batch", cacheable: true}
+			for _, p := range res.Points {
+				out.cancelled = out.cancelled || p.Cancelled
+				if p.Err != nil || p.Degraded {
+					out.cacheable = false
+				}
+			}
+			resp := wire.BatchResponse{
+				SchemaVersion: wire.SchemaVersion,
+				Stats: wire.BatchStats{
+					Points:      res.Stats.Points,
+					Solved:      res.Stats.Solved,
+					CacheHits:   res.Stats.CacheHits,
+					WarmStarted: res.Stats.WarmStarted,
+					Pruned:      res.Stats.Pruned,
+				},
+			}
+			resp.Points, resp.Pareto = wirePoints(res.Points)
+			out.resp = resp
+			return out, nil
+		},
+	})
 }

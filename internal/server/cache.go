@@ -3,13 +3,14 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"hilp/internal/wire"
 )
 
 // cache is a fixed-capacity LRU over solved responses. Values are the exact
 // bytes previously written to a client, so a hit replays a byte-identical
-// response. Keys are canonical request hashes (see cacheKey).
+// response. Keys are wire.Hash of the canonical (re-marshaled,
+// field-order-stable) request encoding, so two JSON bodies that decode to the
+// same request share a key regardless of whitespace or key order; the sweep
+// engine's canonical-model memoizer uses the same hash.
 type cache struct {
 	mu  sync.Mutex
 	cap int
@@ -74,12 +75,4 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// cacheKey hashes a canonical (re-marshaled, field-order-stable) request
-// encoding, so two JSON bodies that decode to the same request share a key
-// regardless of whitespace or key order. The hash itself (wire.Hash) is
-// shared with the sweep engine's canonical-model memoizer.
-func cacheKey(canonical []byte) string {
-	return wire.Hash(canonical)
 }

@@ -67,24 +67,37 @@ func TestServeDegradedSolve(t *testing.T) {
 		Kinds: []faults.Kind{faults.KindError}, Sites: []string{faults.SiteSolve}})
 	_, ts := newTestServer(t, Config{Faults: inj})
 
-	for round, want := range []string{"miss", "miss"} {
-		resp, body := post(t, ts.URL+"/v1/evaluate", fastBody(t))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, body)
-		}
-		var out wire.EvaluateResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if !out.Result.Degraded || out.Result.FallbackReason != "injected-fault" {
-			t.Fatalf("round %d: degraded=%v reason=%q, want true/injected-fault",
-				round, out.Result.Degraded, out.Result.FallbackReason)
-		}
-		if out.Result.Speedup <= 0 {
-			t.Errorf("round %d: degraded result speedup %g", round, out.Result.Speedup)
-		}
-		if got := resp.Header.Get("X-HILP-Cache"); got != want {
-			t.Errorf("round %d: X-HILP-Cache = %q, want %q (degraded results must not be cached)", round, got, want)
+	for _, rt := range solveRoutes(t) {
+		for round, want := range []string{"miss", "miss"} {
+			resp, body := post(t, ts.URL+rt.path, rt.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s round %d: status %d: %s", rt.path, round, resp.StatusCode, body)
+			}
+			// Both response shapes decode into this: evaluate fills Result,
+			// batch fills Points.
+			var out struct {
+				Result wire.Result
+				Points []wire.Point
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			degraded, reason, speedup := out.Result.Degraded, out.Result.FallbackReason, out.Result.Speedup
+			if len(out.Points) > 0 {
+				p := out.Points[0]
+				degraded, reason, speedup = p.Degraded, p.FallbackReason, p.Speedup
+			}
+			if !degraded || reason != "injected-fault" {
+				t.Fatalf("%s round %d: degraded=%v reason=%q, want true/injected-fault",
+					rt.path, round, degraded, reason)
+			}
+			if speedup <= 0 {
+				t.Errorf("%s round %d: degraded result speedup %g", rt.path, round, speedup)
+			}
+			if got := resp.Header.Get("X-HILP-Cache"); got != want {
+				t.Errorf("%s round %d: X-HILP-Cache = %q, want %q (degraded results must not be cached)",
+					rt.path, round, got, want)
+			}
 		}
 	}
 }

@@ -32,7 +32,6 @@ func terminalJobStatus(status string) bool {
 // disconnects, or the server drains. Events published before the
 // subscription simply aren't replayed — the bus is a live feed, not a log.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter(obs.MServeRequests).Inc()
 	s.jobMu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.jobMu.Unlock()

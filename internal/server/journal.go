@@ -253,7 +253,7 @@ func (s *Server) withJournalCheckpoint(opts []hilp.Option, j *job) []hilp.Option
 		err := s.journal.Append(wire.JournalRecord{
 			Kind:  wire.JournalKindPoint,
 			JobID: j.id,
-			Point: &wire.JournalPoint{Index: i, Point: wirePoint(p)},
+			Point: &wire.JournalPoint{Index: i, Point: dse.ToWirePoint(p)},
 		})
 		if err != nil {
 			s.obs.Log(context.Background(), slog.LevelError, "journal: point append failed",

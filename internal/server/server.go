@@ -282,11 +282,12 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// instrument is the request-scoped diagnostics middleware: it assigns the
-// correlation ID (honoring an incoming X-Request-ID, generating one
-// otherwise), echoes it in the response header, threads it through the
-// context so every log line, span, and metric exemplar downstream is
-// stamped with it, and records a summary in the /debug/requests ring.
+// instrument is the request-scoped diagnostics middleware: it counts the
+// request, assigns the correlation ID (honoring an incoming X-Request-ID,
+// generating one otherwise), echoes it in the response header, threads it
+// through the context so every log line, span, and metric exemplar
+// downstream is stamped with it, and records a summary in the
+// /debug/requests ring.
 //
 // It also owns the request's distributed-trace identity (W3C Trace Context):
 // an incoming traceparent header is parsed and continued with a fresh child
@@ -298,6 +299,7 @@ func (w *statusWriter) Flush() {
 // is set — child spans under the request span.
 func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		s.obs.Counter(obs.MServeRequests).Inc()
 		id := r.Header.Get("X-Request-ID")
 		if id == "" || len(id) > 128 {
 			id = obs.NewRequestID()
@@ -565,8 +567,46 @@ func (s *Server) recoverHandler(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter(obs.MServeRequests).Inc()
+// solveOutcome is what a cached solve route's solve step hands back to
+// serveCachedSolve.
+type solveOutcome struct {
+	// resp is the response value, encoded as the 200 body.
+	resp any
+	// cancelled marks a result cut short by the request's deadline.
+	cancelled bool
+	// cacheable is false when part of the response (a batch point) errored
+	// or degraded.
+	cacheable bool
+	// solver, gap, degraded and fallbackReason feed the request summary.
+	solver         string
+	gap            float64
+	degraded       bool
+	fallbackReason string
+}
+
+// cachedSolve is one cached solve route's part in serveCachedSolve.
+type cachedSolve struct {
+	// req points at the route's request value: the body decodes into it and
+	// its canonical re-encoding keys the cache. version and timeoutSec point
+	// at its schemaVersion and timeoutSec fields.
+	req        any
+	version    *int
+	timeoutSec *float64
+	// validate, when non-nil, runs in the validate stage after decoding.
+	validate func() *apiError
+	// solve runs in the solve stage, holding a pool token, under the
+	// request's deadline and fault-injection context.
+	solve func(ctx context.Context) (solveOutcome, *apiError)
+}
+
+// serveCachedSolve is the request pipeline of the cached solve routes
+// (POST /v1/evaluate and POST /v1/batch): decode and validate, look the
+// canonical request up in the response LRU, admit the solve to the worker
+// pool, solve under the request's deadline, then encode, cache and write.
+// Each step is bracketed on the request's StageTimer, so the summary, the
+// per-stage histograms and OTLP child spans explain where the request's
+// wall-clock time went.
+func (s *Server) serveCachedSolve(w http.ResponseWriter, r *http.Request, route cachedSolve) {
 	inFlight := s.obs.Gauge(obs.MServeInFlight)
 	inFlight.Add(1)
 	defer inFlight.Add(-1)
@@ -576,38 +616,35 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		// slow bucket can be traced to a concrete request in /debug/requests.
 		s.obs.Histogram(obs.MServeRequestSec).ObserveEx(time.Since(start).Seconds(), obs.RequestID(r.Context()))
 	}()
-
-	// Per-stage latency attribution: each pipeline stage below is bracketed
-	// on the request's StageTimer (carried by the context), so the summary,
-	// the per-stage histograms, and OTLP child spans all explain where the
-	// wall-clock time of this request went.
-	st := obs.StageTimerFrom(r.Context())
+	ctx := r.Context()
+	st := obs.StageTimerFrom(ctx)
+	sum := summaryFrom(ctx)
 
 	stopValidate := st.Start(obs.StageValidate)
-	var req wire.EvaluateRequest
-	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
-		stopValidate()
-		s.writeAPIError(r.Context(), w, apiErr)
-		return
-	}
-	if err := wire.CheckVersion(req.SchemaVersion); err != nil {
-		stopValidate()
-		s.writeError(r.Context(), w, http.StatusBadRequest, "version", err)
-		return
+	apiErr := s.decodeBody(w, r, route.req)
+	if apiErr == nil {
+		if err := wire.CheckVersion(*route.version); err != nil {
+			apiErr = &apiError{http.StatusBadRequest, "version", err}
+		} else if route.validate != nil {
+			apiErr = route.validate()
+		}
 	}
 	stopValidate()
+	if apiErr != nil {
+		s.writeAPIError(ctx, w, apiErr)
+		return
+	}
 
 	// The cache key is the canonical (re-marshaled) request, so formatting
 	// and key order don't fragment it.
 	stopCache := st.Start(obs.StageCacheLookup)
-	canonical, err := json.Marshal(req)
+	canonical, err := json.Marshal(route.req)
 	if err != nil {
 		stopCache()
-		s.writeError(r.Context(), w, http.StatusBadRequest, "bad_request", err)
+		s.writeError(ctx, w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	key := cacheKey(canonical)
-	sum := summaryFrom(r.Context())
+	key := wire.Hash(canonical)
 	if body, ok := s.cache.get(key); ok {
 		stopCache()
 		s.obs.Counter(obs.MServeCacheHits).Inc()
@@ -615,7 +652,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			sum.Cache = "hit"
 		}
 		w.Header().Set("X-HILP-Cache", "hit")
-		s.writeJSON(r.Context(), w, http.StatusOK, body)
+		s.writeJSON(ctx, w, http.StatusOK, body)
 		return
 	}
 	stopCache()
@@ -625,62 +662,88 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stopSchedule := st.Start(obs.StageSchedule)
-	if err := s.acquire(r.Context()); err != nil {
+	if err := s.acquire(ctx); err != nil {
 		stopSchedule()
 		if errors.Is(err, errBusy) {
 			s.obs.Counter(obs.MServeRejected).Inc()
-			s.writeError(r.Context(), w, http.StatusTooManyRequests, "busy", err)
+			s.writeError(ctx, w, http.StatusTooManyRequests, "busy", err)
 		} else {
-			s.writeError(r.Context(), w, http.StatusServiceUnavailable, "busy", err)
+			s.writeError(ctx, w, http.StatusServiceUnavailable, "busy", err)
 		}
 		return
 	}
 	stopSchedule()
 	defer s.release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveTimeout(req.TimeoutSec))
+	solveCtx, cancel := context.WithTimeout(ctx, s.solveTimeout(*route.timeoutSec))
 	defer cancel()
-	ctx = faults.WithKey(faults.NewContext(ctx, s.cfg.Faults), s.reqSeq.Add(1))
+	solveCtx = faults.WithKey(faults.NewContext(solveCtx, s.cfg.Faults), s.reqSeq.Add(1))
 
 	stopSolve := st.Start(obs.StageSolve)
-	var result wire.Result
-	var apiErr *apiError
-	if req.Model != nil {
-		result, apiErr = s.evaluateModel(ctx, &req)
-	} else {
-		result, apiErr = s.evaluateTemplate(ctx, &req)
-	}
+	out, apiErr := route.solve(solveCtx)
 	stopSolve()
 	if apiErr != nil {
-		s.writeAPIError(r.Context(), w, apiErr)
+		s.writeAPIError(ctx, w, apiErr)
 		return
 	}
-	if result.Cancelled {
+	if out.cancelled {
 		s.obs.Counter(obs.MServeDeadlines).Inc()
 	}
 	if sum != nil {
-		sum.Solver = result.Method
-		sum.Gap = result.Gap
-		sum.Cancelled = result.Cancelled
-		sum.Degraded = result.Degraded
-		sum.FallbackReason = result.FallbackReason
+		sum.Solver = out.solver
+		sum.Gap = out.gap
+		sum.Cancelled = out.cancelled
+		sum.Degraded = out.degraded
+		sum.FallbackReason = out.fallbackReason
 	}
 
 	stopEncode := st.Start(obs.StageEncode)
 	defer stopEncode()
-	body, err := wire.Marshal(wire.EvaluateResponse{SchemaVersion: wire.SchemaVersion, Result: result})
+	body, err := wire.Marshal(out.resp)
 	if err != nil {
-		s.writeError(r.Context(), w, http.StatusInternalServerError, "", err)
+		s.writeError(ctx, w, http.StatusInternalServerError, "", err)
 		return
 	}
 	// Cancelled results are the best incumbent under *this* request's
-	// deadline, and degraded ones are fallback answers to a transient
-	// failure — never serve either to later callers.
-	if !result.Cancelled && !result.Degraded {
+	// deadline, degraded ones are fallback answers to a transient failure,
+	// and a batch with errored points is partial: never serve any of them
+	// to later callers.
+	if out.cacheable && !out.cancelled && !out.degraded {
 		s.cache.put(key, body)
 	}
 	w.Header().Set("X-HILP-Cache", "miss")
-	s.writeJSON(r.Context(), w, http.StatusOK, body)
+	s.writeJSON(ctx, w, http.StatusOK, body)
+}
+
+// handleEvaluate serves POST /v1/evaluate: one design point, either a
+// (workload, SoC) pair from the paper's template or a custom model. The
+// workload resolves inside the solve stage.
+func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	var req wire.EvaluateRequest
+	s.serveCachedSolve(w, r, cachedSolve{
+		req:        &req,
+		version:    &req.SchemaVersion,
+		timeoutSec: &req.TimeoutSec,
+		solve: func(ctx context.Context) (solveOutcome, *apiError) {
+			evaluate := s.evaluateTemplate
+			if req.Model != nil {
+				evaluate = s.evaluateModel
+			}
+			result, apiErr := evaluate(ctx, &req)
+			if apiErr != nil {
+				return solveOutcome{}, apiErr
+			}
+			return solveOutcome{
+				resp:           wire.EvaluateResponse{SchemaVersion: wire.SchemaVersion, Result: result},
+				cancelled:      result.Cancelled,
+				cacheable:      true,
+				solver:         result.Method,
+				gap:            result.Gap,
+				degraded:       result.Degraded,
+				fallbackReason: result.FallbackReason,
+			}, nil
+		},
+	})
 }
 
 // evaluateTemplate solves a (workload, SoC) pair from the paper's template.
@@ -730,16 +793,12 @@ func (s *Server) evaluateModel(ctx context.Context, req *wire.EvaluateRequest) (
 	if horizon == 0 {
 		horizon = 200
 	}
-	inst, err := req.Model.Build(step, horizon)
-	if err != nil {
-		return wire.Result{}, solveErr(err)
-	}
 	cfg := scheduler.Config{Seed: 1}
 	if req.Solver != nil {
 		cfg = req.Solver.ToConfig()
 	}
 	cfg.Obs = s.obs
-	res, err := core.SolveProblem(ctx, inst.Problem, cfg)
+	inst, res, err := hilp.SolveModelContext(ctx, *req.Model, step, horizon, cfg)
 	if err != nil {
 		return wire.Result{}, solveErr(err)
 	}
@@ -760,7 +819,6 @@ func (s *Server) evaluateModel(ctx context.Context, req *wire.EvaluateRequest) (
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter(obs.MServeRequests).Inc()
 	var req wire.SweepRequest
 	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
 		s.writeAPIError(r.Context(), w, apiErr)
@@ -842,30 +900,39 @@ type sweepPlan struct {
 	modelKey string
 }
 
-// planSweep validates a sweep request and resolves it into a runnable plan.
-func (s *Server) planSweep(req *wire.SweepRequest) (*sweepPlan, *apiError) {
-	var ww wire.Workload
-	if req.Workload != nil {
-		ww = *req.Workload
+// resolveSpecs resolves a batch or sweep request's workload (nil selects the
+// default) and the design points to solve: the explicit specs, or else the
+// enumerated space.
+func resolveSpecs(ww *wire.Workload, specs []wire.SoC, space *wire.Space) (rodinia.Workload, []soc.Spec, *apiError) {
+	if ww == nil {
+		ww = &wire.Workload{}
 	}
 	workload, err := ww.ToWorkload()
 	if err != nil {
-		return nil, solveErr(err)
+		return rodinia.Workload{}, nil, solveErr(err)
+	}
+	out := make([]soc.Spec, 0, len(specs))
+	for _, sp := range specs {
+		out = append(out, sp.ToSpec())
+	}
+	if len(out) == 0 {
+		if space == nil {
+			space = &wire.Space{}
+		}
+		out = soc.DesignSpace(workload, space.ToSpaceConfig())
+	}
+	return workload, out, nil
+}
+
+// planSweep validates a sweep request and resolves it into a runnable plan.
+func (s *Server) planSweep(req *wire.SweepRequest) (*sweepPlan, *apiError) {
+	workload, specs, apiErr := resolveSpecs(req.Workload, req.Specs, req.Space)
+	if apiErr != nil {
+		return nil, apiErr
 	}
 	baseline, err := parseBaseline(req.Baseline)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, "bad_request", err}
-	}
-	specs := make([]soc.Spec, 0, len(req.Specs))
-	for _, sp := range req.Specs {
-		specs = append(specs, sp.ToSpec())
-	}
-	if len(specs) == 0 {
-		var space wire.Space
-		if req.Space != nil {
-			space = *req.Space
-		}
-		specs = soc.DesignSpace(workload, space.ToSpaceConfig())
 	}
 	// Sweep-engine features (schema v2) are opt-in per request and default
 	// to off, preserving v1 sweep behavior exactly.
@@ -1006,7 +1073,6 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int, id strin
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.obs.Counter(obs.MServeRequests).Inc()
 	s.jobMu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.jobMu.Unlock()
@@ -1097,17 +1163,12 @@ func (s *Server) evictTerminalLocked() bool {
 	return false
 }
 
-// wirePoint converts one sweep point to its wire form (including the schema
-// v2 engine fields and the v3 resume flag). The same encoding feeds responses
-// and the crash-recovery journal, so a journaled point replays losslessly.
-func wirePoint(p hilp.Point) wire.Point { return dse.ToWirePoint(p) }
-
 // wirePoints converts sweep points to their wire form plus the Pareto index
 // list.
 func wirePoints(points []hilp.Point) ([]wire.Point, []int) {
 	out := make([]wire.Point, 0, len(points))
 	for _, p := range points {
-		out = append(out, wirePoint(p))
+		out = append(out, dse.ToWirePoint(p))
 	}
 	byLabel := map[string]int{}
 	for i, p := range points {

@@ -33,6 +33,21 @@ func fastBody(t *testing.T) []byte {
 	return data
 }
 
+// solveRoute is one of the cached solve routes and a fast request for it.
+type solveRoute struct {
+	path string
+	body []byte
+}
+
+// solveRoutes lists the routes sharing the cached-solve pipeline, so tests of
+// admission, caching and stage attribution cover both.
+func solveRoutes(t *testing.T) []solveRoute {
+	return []solveRoute{
+		{"/v1/evaluate", fastBody(t)},
+		{"/v1/batch", batchBody(t, nil)},
+	}
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -411,12 +426,14 @@ func TestAdmissionControl(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, body := post(t, ts.URL+"/v1/evaluate", fastBody(t))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d (%s), want 429", resp.StatusCode, body)
-	}
-	if rejected := s.obs.Metrics.Counter(obs.MServeRejected).Value(); rejected != 1 {
-		t.Errorf("%s = %d, want 1", obs.MServeRejected, rejected)
+	for i, rt := range solveRoutes(t) {
+		resp, body := post(t, ts.URL+rt.path, rt.body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d (%s), want 429", rt.path, resp.StatusCode, body)
+		}
+		if rejected := s.obs.Metrics.Counter(obs.MServeRejected).Value(); rejected != int64(i+1) {
+			t.Errorf("%s: %s = %d, want %d", rt.path, obs.MServeRejected, rejected, i+1)
+		}
 	}
 
 	cancel()

@@ -56,55 +56,59 @@ func TestTraceparentContinued(t *testing.T) {
 
 func TestStageAttribution(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/v1/evaluate", fastBody(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	reqID := resp.Header.Get("X-Request-ID")
+	for _, rt := range solveRoutes(t) {
+		resp, body := post(t, ts.URL+rt.path, rt.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", rt.path, resp.StatusCode, body)
+		}
+		reqID := resp.Header.Get("X-Request-ID")
 
-	r, err := http.Get(ts.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var dump debugRequestsResponse
-	if err := json.NewDecoder(r.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
-	var sum *RequestSummary
-	for i := range dump.Requests {
-		if dump.Requests[i].ID == reqID {
-			sum = &dump.Requests[i]
-			break
+		r, err := http.Get(ts.URL + "/debug/requests")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if sum == nil {
-		t.Fatalf("request %s not in /debug/requests", reqID)
-	}
-	if sum.TraceID == "" {
-		t.Error("summary lacks traceId")
-	}
-	for _, st := range []string{obs.StageValidate, obs.StageCacheLookup, obs.StageSchedule, obs.StageSolve, obs.StageEncode} {
-		if _, ok := sum.Stages[st]; !ok {
-			t.Errorf("summary stages lack %q: %v", st, sum.Stages)
+		var dump debugRequestsResponse
+		err = json.NewDecoder(r.Body).Decode(&dump)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The stages partition the request: their sum must explain the recorded
-	// total within 5% (plus a small absolute allowance for sub-millisecond
-	// scheduling noise). Fallback is excluded — it nests inside solve.
-	var total float64
-	for name, sec := range sum.Stages {
-		if name != obs.StageFallback {
-			total += sec
+		var sum *RequestSummary
+		for i := range dump.Requests {
+			if dump.Requests[i].ID == reqID {
+				sum = &dump.Requests[i]
+				break
+			}
 		}
-	}
-	slack := 0.05*sum.DurationSec + 500e-6
-	if total > sum.DurationSec {
-		t.Errorf("stage sum %.6fs exceeds request duration %.6fs", total, sum.DurationSec)
-	}
-	if sum.DurationSec-total > slack {
-		t.Errorf("stage sum %.6fs explains too little of request duration %.6fs (slack %.6fs)",
-			total, sum.DurationSec, slack)
+		if sum == nil {
+			t.Fatalf("%s: request %s not in /debug/requests", rt.path, reqID)
+		}
+		if sum.TraceID == "" {
+			t.Errorf("%s: summary lacks traceId", rt.path)
+		}
+		for _, st := range []string{obs.StageValidate, obs.StageCacheLookup, obs.StageSchedule, obs.StageSolve, obs.StageEncode} {
+			if _, ok := sum.Stages[st]; !ok {
+				t.Errorf("%s: summary stages lack %q: %v", rt.path, st, sum.Stages)
+			}
+		}
+		// The stages partition the request: their sum must explain the
+		// recorded total within 5% (plus a small absolute allowance for
+		// sub-millisecond scheduling noise). Fallback is excluded — it nests
+		// inside solve.
+		var total float64
+		for name, sec := range sum.Stages {
+			if name != obs.StageFallback {
+				total += sec
+			}
+		}
+		slack := 0.05*sum.DurationSec + 500e-6
+		if total > sum.DurationSec {
+			t.Errorf("%s: stage sum %.6fs exceeds request duration %.6fs", rt.path, total, sum.DurationSec)
+		}
+		if sum.DurationSec-total > slack {
+			t.Errorf("%s: stage sum %.6fs explains too little of request duration %.6fs (slack %.6fs)",
+				rt.path, total, sum.DurationSec, slack)
+		}
 	}
 }
 

@@ -259,7 +259,8 @@ type Result struct {
 	WLP         float64 `json:"wlp"`
 	Gap         float64 `json:"gap"`
 	Refinements int     `json:"refinements,omitempty"`
-	// Proven is true when the schedule is provably optimal.
+	// Proven is true when the schedule is provably optimal; a cancelled
+	// result never claims it.
 	Proven bool   `json:"proven,omitempty"`
 	Method string `json:"method,omitempty"`
 	// Cancelled is true when the solve was cut short by a deadline or
@@ -274,7 +275,7 @@ type Result struct {
 
 // FromResult converts an internal evaluation to the wire form.
 func FromResult(r *core.Result) Result {
-	out := Result{
+	return Result{
 		SchemaVersion:  SchemaVersion,
 		StepSec:        r.StepSec,
 		MakespanSec:    r.MakespanSec,
@@ -285,10 +286,12 @@ func FromResult(r *core.Result) Result {
 		Cancelled:      r.Cancelled,
 		Degraded:       r.Degraded,
 		FallbackReason: r.FallbackReason,
+		// A cancelled evaluation never claims proven: the deadline stopped
+		// the refinement loop, so a proof at the resolution it reached does
+		// not certify the result the loop would have returned.
+		Proven: r.Sched.Proven && !r.Cancelled,
+		Method: r.Sched.Method,
 	}
-	out.Proven = r.Sched.Proven
-	out.Method = r.Sched.Method
-	return out
 }
 
 // Point is the wire form of one sweep point.

@@ -129,6 +129,19 @@ func TestResultFieldNames(t *testing.T) {
 	}
 }
 
+func TestFromResultCancelledNeverProven(t *testing.T) {
+	// The deadline can pass after a resolution's solve finished proven; the
+	// evaluation is then cancelled and must not claim optimality.
+	res := &core.Result{MakespanSec: 2, Cancelled: true, Sched: scheduler.Result{Proven: true, Method: "anneal"}}
+	if out := FromResult(res); out.Proven || !out.Cancelled {
+		t.Errorf("cancelled result: proven=%v cancelled=%v, want false/true", out.Proven, out.Cancelled)
+	}
+	res.Cancelled = false
+	if out := FromResult(res); !out.Proven {
+		t.Error("uncancelled proven result lost proven")
+	}
+}
+
 func TestCheckVersion(t *testing.T) {
 	if err := CheckVersion(0); err != nil {
 		t.Errorf("version 0 rejected: %v", err)

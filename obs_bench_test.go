@@ -55,8 +55,8 @@ func BenchmarkEvaluateObsFull(b *testing.B) {
 }
 
 // BenchmarkObsNoopCalls measures the raw per-call price of the disabled
-// path (span open/close, counter, gauge, histogram, suppressed legacy and
-// structured logs, and an inert flight-recorder trace).
+// path (span open/close, counter, gauge, histogram, a suppressed
+// structured log, and an inert flight-recorder trace).
 func BenchmarkObsNoopCalls(b *testing.B) {
 	var octx *obs.Context
 	ctx := context.Background()
@@ -66,7 +66,6 @@ func BenchmarkObsNoopCalls(b *testing.B) {
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
-		octx.Logf(2, "suppressed")
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
 		tr := octx.Record("solve")
 		tr.Incumbent(i, 10)
@@ -126,7 +125,6 @@ func BenchmarkObsActiveCalls(b *testing.B) {
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
-		octx.Logf(2, "suppressed")
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
 		tr := octx.Record("solve")
 		tr.Incumbent(i, 10)
