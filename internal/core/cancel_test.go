@@ -73,3 +73,34 @@ func TestSolveBackgroundNotCancelled(t *testing.T) {
 		t.Error("Cancelled set on a background-context solve")
 	}
 }
+
+// TestSolveAdaptiveCancelledKeepsProof pins the cancelled-and-proven rule of
+// Result: a loop cut short reports Cancelled even when the solve at the
+// resolution it reached proved its schedule optimal. Sched keeps that proof
+// (and is not itself cancelled); only the wire form drops it.
+func TestSolveAdaptiveCancelledKeepsProof(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	builds := 0
+	build := func(stepSec float64, horizon int) (*Instance, error) {
+		builds++
+		cancel() // the deadline passes while the first instance is built
+		return validModel().Build(stepSec, horizon)
+	}
+	// The profile would refine if the loop were not cancelled.
+	profile := Profile{InitialStepSec: 1, Horizon: 100, RefineWhileBelow: 1000, MaxRefinements: 3}
+	res, err := SolveAdaptive(ctx, build, profile, scheduler.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 || res.Refinements != 0 {
+		t.Errorf("cancelled loop built %d instances and refined %d times, want 1 and 0", builds, res.Refinements)
+	}
+	if !res.Sched.Proven || res.Sched.Cancelled || res.Sched.LowerBound != res.Sched.Schedule.Makespan {
+		t.Errorf("solve at the first resolution: proven=%v cancelled=%v bound %d makespan %d, want a proof of optimality",
+			res.Sched.Proven, res.Sched.Cancelled, res.Sched.LowerBound, res.Sched.Schedule.Makespan)
+	}
+	if !res.Cancelled {
+		t.Error("Cancelled not set on a proven result of a cut-short loop")
+	}
+}

@@ -36,16 +36,10 @@ var errMILPIncomplete = errors.New("core: milp search ended without an incumbent
 // Transient reports whether err is worth retrying: solver panics, numerical
 // failures, injected faults, and corrupted results. Validation errors,
 // genuine infeasibility, and context expiry are final.
-func Transient(err error) bool {
-	var pe *scheduler.PanicError
-	return errors.As(err, &pe) ||
-		errors.Is(err, milp.ErrNumerics) ||
-		errors.Is(err, faults.ErrInjected) ||
-		errors.Is(err, ErrBadResult) ||
-		errors.Is(err, errMILPIncomplete)
-}
+func Transient(err error) bool { return reasonOf(err) != "" }
 
-// reasonOf classifies a transient error for Result.FallbackReason.
+// reasonOf classifies a transient error for Result.FallbackReason; it is
+// empty for a final one.
 func reasonOf(err error) string {
 	var pe *scheduler.PanicError
 	switch {
@@ -60,7 +54,7 @@ func reasonOf(err error) string {
 	case errors.Is(err, errMILPIncomplete):
 		return ReasonMILPGave
 	}
-	return "error"
+	return ""
 }
 
 // SolveProblem is the fault-tolerant solve entry: every solver invocation in
@@ -70,38 +64,27 @@ func reasonOf(err error) string {
 //
 //	primary solve -> retry once with perturbed settings -> heuristic fallback
 //
-// Primary is the layered CP search (scheduler.Solve), or the time-indexed
-// MILP when cfg.Improver is "milp". After any successful solve the result is
-// re-checked at this trust boundary (schedule feasibility + bound sanity); a
-// check failure is treated like a solver error. Transient failures — panics,
-// milp.ErrNumerics, injected faults, corrupted results — are retried once
-// with a perturbed seed (CP) or loosened tolerances (MILP); if the retry also
-// fails, the priority-rule heuristic scheduler produces a feasible schedule
-// with the combinatorial lower bound and the result is marked Degraded with
-// the fallback reason. Callers therefore always get a feasible schedule with
-// a valid bound, or a typed error (validation, genuine infeasibility, context
-// expiry) — never silent garbage.
+// Primary is scheduler.Solve with the improver cfg.Improver names. After any
+// successful solve the result is re-checked at this trust boundary (schedule
+// feasibility + bound sanity); a check failure is treated like a solver
+// error. Transient failures — panics, milp.ErrNumerics, injected faults,
+// corrupted results — are retried once with the improver's own perturbation
+// (a new seed for anneal and tabu, looser tolerances for the MILP); if the
+// retry also fails, the priority-rule heuristic scheduler produces a feasible
+// schedule with the combinatorial lower bound and the result is marked
+// Degraded with the fallback reason. Callers therefore always get a feasible
+// schedule with a valid bound, or a typed error (validation, an unknown
+// improver, genuine infeasibility, context expiry) — never silent garbage.
 func SolveProblem(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config) (scheduler.Result, error) {
+	solve, err := scheduler.Improver(cfg.Improver)
+	if err != nil {
+		return scheduler.Result{}, err
+	}
 	octx := cfg.Obs
 	fp := faults.FromContext(ctx)
 
 	attempt := func(retry bool) (scheduler.Result, error) {
-		var res scheduler.Result
-		var err error
-		if cfg.Improver == "milp" {
-			res, err = solveMILP(ctx, p, cfg, retry)
-		} else {
-			c := cfg
-			if retry {
-				// A different seed reshuffles every randomized component;
-				// ill-conditioned search trajectories rarely repeat. The
-				// retry runs in full: only a first attempt's early exit can
-				// be replayed by SolveAdaptive's re-solve.
-				c.Seed = cfg.Seed*6364136223846793005 + 1442695040888963407
-				c = scheduler.WithRefineBelow(c, 0)
-			}
-			res, err = scheduler.Solve(ctx, p, c)
-		}
+		res, err := solve(ctx, p, cfg, retry)
 		if err != nil {
 			return scheduler.Result{}, err
 		}
@@ -199,14 +182,16 @@ func heuristicFallback(p *scheduler.Problem) (scheduler.Result, bool) {
 	}, true
 }
 
-// solveMILP is the chain's MILP primary: the time-indexed 0/1 encoding solved
-// with the in-repo branch and bound, warm-started from the heuristic
-// portfolio. A retry loosens the integrality tolerance and gap target, the
-// standard response to numerics-induced failures. An Infeasible/Unbounded
-// verdict on an instance the heuristics can schedule is classified as
-// milp.ErrNumerics (infeasible-due-to-numerics), so the chain retries and
-// degrades instead of reporting a false infeasibility.
-func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, retry bool) (scheduler.Result, error) {
+func init() { scheduler.MILP = solveMILP }
+
+// solveMILP is the search of the "milp" improver (scheduler.MILP): the
+// time-indexed 0/1 encoding solved with the in-repo branch and bound,
+// warm-started from the heuristic portfolio. A retry loosens the integrality
+// tolerance and gap target, the standard response to numerics-induced
+// failures. An Infeasible/Unbounded verdict on an instance the heuristics can
+// schedule is classified as milp.ErrNumerics (infeasible-due-to-numerics), so
+// the chain retries and degrades instead of reporting a false infeasibility.
+func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, retry bool) (scheduler.Schedule, int, bool, error) {
 	opts := milp.Options{
 		MaxNodes:     cfg.ExactNodeLimit,
 		GapTolerance: cfg.GapTarget,
@@ -216,47 +201,26 @@ func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, 
 		opts.IntTol = 1e-5
 		opts.GapTolerance = math.Max(1.5*cfg.GapTarget, 0.02)
 	}
-	warm, warmOK := scheduler.HeuristicSchedule(p)
-
-	var sched scheduler.Schedule
-	var sol milp.Solution
-	var err error
-	if warmOK {
-		sched, sol, err = timeindexed.Solve(ctx, p, opts, warm)
-	} else {
-		sched, sol, err = timeindexed.Solve(ctx, p, opts)
+	var warm []scheduler.Schedule
+	if h, ok := scheduler.HeuristicSchedule(p); ok {
+		warm = append(warm, h)
 	}
+	sched, sol, err := timeindexed.Solve(ctx, p, opts, warm...)
 	if err != nil {
-		return scheduler.Result{}, err
+		return scheduler.Schedule{}, 0, false, err
 	}
 
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
-		lb := int(math.Ceil(sol.Bound - 1e-6))
-		if comb := scheduler.LowerBound(p); comb > lb {
-			lb = comb
-		}
-		if lb > sched.Makespan {
-			lb = sched.Makespan
-		}
-		if lb < 0 {
-			lb = 0
-		}
-		return scheduler.Result{
-			Schedule:   sched,
-			LowerBound: lb,
-			Proven:     sol.Status == milp.Optimal,
-			Method:     "milp",
-			Cancelled:  ctx.Err() != nil && sol.Status != milp.Optimal,
-		}, nil
+		return sched, min(int(math.Ceil(sol.Bound-1e-6)), sched.Makespan), sol.Status == milp.Optimal, nil
 	case milp.Infeasible, milp.Unbounded:
-		if warmOK {
-			return scheduler.Result{}, fmt.Errorf(
+		if len(warm) > 0 {
+			return scheduler.Schedule{}, 0, false, fmt.Errorf(
 				"%w: milp reported %v for an instance the heuristics schedule in %d steps",
-				milp.ErrNumerics, sol.Status, warm.Makespan)
+				milp.ErrNumerics, sol.Status, warm[0].Makespan)
 		}
-		return scheduler.Result{}, scheduler.ErrInfeasible
+		return scheduler.Schedule{}, 0, false, scheduler.ErrInfeasible
 	default: // LimitReached without incumbent
-		return scheduler.Result{}, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
+		return scheduler.Schedule{}, 0, false, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
 	}
 }

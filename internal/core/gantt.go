@@ -12,24 +12,8 @@ import (
 // its schedules in Figures 2, 3, and 10. The chart is scaled to at most
 // width columns; width <= 0 selects 100.
 func (in *Instance) Gantt(s scheduler.Schedule, width int) string {
-	if width <= 0 {
-		width = 100
-	}
-	makespan := 0
-	for i := range in.Problem.Tasks {
-		if f := s.Finish(in.Problem, i); f > makespan {
-			makespan = f
-		}
-	}
-	if makespan == 0 {
-		return "(empty schedule)\n"
-	}
-	stepsPerCol := (makespan + width - 1) / width
-	cols := (makespan + stepsPerCol - 1) / stepsPerCol
-
 	// One row per device group, labeled by the first cluster of the group.
-	numGroups := in.Problem.NumGroups()
-	rowName := make([]string, numGroups)
+	rowName := make([]string, in.Problem.NumGroups())
 	for _, c := range in.Clusters {
 		if rowName[c.Group] == "" {
 			name := c.Name
@@ -39,71 +23,24 @@ func (in *Instance) Gantt(s scheduler.Schedule, width int) string {
 			rowName[c.Group] = name
 		}
 	}
-	nameWidth := 0
-	for _, n := range rowName {
-		if len(n) > nameWidth {
-			nameWidth = len(n)
-		}
-	}
-
-	rows := make([][]byte, numGroups)
-	for g := range rows {
-		rows[g] = []byte(strings.Repeat(".", cols))
-	}
-	for i := range in.Problem.Tasks {
-		t := &in.Problem.Tasks[i]
-		o := t.Options[s.Option[i]]
-		if o.Duration == 0 {
-			continue
-		}
-		g := in.Problem.ClusterGroup[o.Cluster]
-		c0 := s.Start[i] / stepsPerCol
-		c1 := (s.Start[i] + o.Duration - 1) / stepsPerCol
-		label := t.Name
-		for c := c0; c <= c1 && c < cols; c++ {
-			k := c - c0
-			if k < len(label) {
-				rows[g][c] = label[k]
-			} else {
-				rows[g][c] = '='
-			}
-		}
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%*s  t=0%s%d steps (%.4g s/step)\n", nameWidth, "", strings.Repeat(" ", max(1, cols-len(fmt.Sprint(makespan))-3)), makespan, in.StepSec)
-	for g := 0; g < numGroups; g++ {
-		fmt.Fprintf(&b, "%-*s  %s\n", nameWidth, rowName[g], rows[g])
-	}
-	return b.String()
+	return in.ganttChart(s, width, rowName, 0,
+		func(i int, o scheduler.Option) (int, string) {
+			return in.Problem.ClusterGroup[o.Cluster], in.Problem.Tasks[i].Name
+		},
+		func(makespan, cols int) string {
+			return fmt.Sprintf("t=0%s%d steps", strings.Repeat(" ", max(1, cols-len(fmt.Sprint(makespan))-3)), makespan)
+		})
 }
 
 // GanttByApp renders the schedule with one row per application, labeling
 // segments by the cluster each phase ran on - the per-application view the
 // paper uses in Figure 2. Width semantics match Gantt.
 func (in *Instance) GanttByApp(s scheduler.Schedule, width int) string {
-	if width <= 0 {
-		width = 100
-	}
-	makespan := 0
-	numApps := 0
-	for i := range in.Problem.Tasks {
-		if f := s.Finish(in.Problem, i); f > makespan {
-			makespan = f
+	var rowName []string
+	for _, t := range in.Problem.Tasks {
+		for len(rowName) <= t.App {
+			rowName = append(rowName, "")
 		}
-		if a := in.Problem.Tasks[i].App; a+1 > numApps {
-			numApps = a + 1
-		}
-	}
-	if makespan == 0 || numApps == 0 {
-		return "(empty schedule)\n"
-	}
-	stepsPerCol := (makespan + width - 1) / width
-	cols := (makespan + stepsPerCol - 1) / stepsPerCol
-
-	rowName := make([]string, numApps)
-	for i := range in.Problem.Tasks {
-		t := &in.Problem.Tasks[i]
 		if rowName[t.App] == "" {
 			name := t.Name
 			if dot := strings.IndexByte(name, '.'); dot > 0 {
@@ -112,43 +49,59 @@ func (in *Instance) GanttByApp(s scheduler.Schedule, width int) string {
 			rowName[t.App] = name
 		}
 	}
-	nameWidth := 3
-	for _, n := range rowName {
-		if len(n) > nameWidth {
-			nameWidth = len(n)
-		}
-	}
+	return in.ganttChart(s, width, rowName, 3,
+		func(i int, o scheduler.Option) (int, string) {
+			if o.Label == "" {
+				return in.Problem.Tasks[i].App, in.Clusters[o.Cluster].Name
+			}
+			return in.Problem.Tasks[i].App, o.Label
+		},
+		func(makespan, _ int) string { return fmt.Sprintf("t=0 .. %d steps", makespan) })
+}
 
-	rows := make([][]byte, numApps)
-	for a := range rows {
-		rows[a] = []byte(strings.Repeat(".", cols))
+// ganttChart draws one row per rowName entry, at least minName wide, and
+// paints task i's segment on the row and with the label that segment gives
+// for its chosen option; span renders the time axis heading the rows.
+func (in *Instance) ganttChart(s scheduler.Schedule, width int, rowName []string, minName int,
+	segment func(i int, o scheduler.Option) (row int, label string), span func(makespan, cols int) string) string {
+	if width <= 0 {
+		width = 100
+	}
+	makespan := 0
+	for i := range in.Problem.Tasks {
+		makespan = max(makespan, s.Finish(in.Problem, i))
+	}
+	if makespan == 0 || len(rowName) == 0 {
+		return "(empty schedule)\n"
+	}
+	stepsPerCol := (makespan + width - 1) / width
+	cols := (makespan + stepsPerCol - 1) / stepsPerCol
+	nameWidth := minName
+	rows := make([][]byte, len(rowName))
+	for r, n := range rowName {
+		nameWidth = max(nameWidth, len(n))
+		rows[r] = []byte(strings.Repeat(".", cols))
 	}
 	for i := range in.Problem.Tasks {
-		t := &in.Problem.Tasks[i]
-		o := t.Options[s.Option[i]]
+		o := in.Problem.Tasks[i].Options[s.Option[i]]
 		if o.Duration == 0 {
 			continue
 		}
-		label := o.Label
-		if label == "" {
-			label = in.Clusters[o.Cluster].Name
-		}
+		r, label := segment(i, o)
 		c0 := s.Start[i] / stepsPerCol
-		c1 := (s.Start[i] + o.Duration - 1) / stepsPerCol
-		for c := c0; c <= c1 && c < cols; c++ {
-			k := c - c0
-			if k < len(label) {
-				rows[t.App][c] = label[k]
+		for c := c0; c <= (s.Start[i]+o.Duration-1)/stepsPerCol && c < cols; c++ {
+			if k := c - c0; k < len(label) {
+				rows[r][c] = label[k]
 			} else {
-				rows[t.App][c] = '='
+				rows[r][c] = '='
 			}
 		}
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%*s  t=0 .. %d steps (%.4g s/step)\n", nameWidth, "", makespan, in.StepSec)
-	for a := 0; a < numApps; a++ {
-		fmt.Fprintf(&b, "%-*s  %s\n", nameWidth, rowName[a], rows[a])
+	fmt.Fprintf(&b, "%*s  %s (%.4g s/step)\n", nameWidth, "", span(makespan, cols), in.StepSec)
+	for r, row := range rows {
+		fmt.Fprintf(&b, "%-*s  %s\n", nameWidth, rowName[r], row)
 	}
 	return b.String()
 }

@@ -51,8 +51,12 @@ type Result struct {
 	// Refinements counts how many times the resolution was adapted.
 	Refinements int
 	// Cancelled is true when the evaluation was cut short by context
-	// cancellation or deadline expiry: the result is the best incumbent at
-	// the resolution reached so far, with a valid (if loose) gap.
+	// cancellation or deadline expiry: the §III-D loop stopped early, and
+	// the result is the best incumbent at the resolution reached so far,
+	// with a valid (if loose) gap. It is set even when Sched.Proven is:
+	// Sched speaks only for the resolution reached, not for the one the loop
+	// would have returned. wire.FromResult is the one place that merges the
+	// two (a cancelled result never claims proven on the wire).
 	Cancelled bool
 	// Degraded is true when any refinement iteration fell back to the
 	// heuristic scheduler after the primary solver failed (see
@@ -112,6 +116,10 @@ func Solve(ctx context.Context, w rodinia.Workload, spec soc.Spec, profile Profi
 // overshoots the horizon, is re-solved in full, so results match solving
 // every resolution in full.
 func SolveAdaptive(ctx context.Context, build func(stepSec float64, horizon int) (*Instance, error), profile Profile, cfg scheduler.Config) (*Result, error) {
+	// An unknown improver fails before any instance is built.
+	if _, err := scheduler.Improver(cfg.Improver); err != nil {
+		return nil, err
+	}
 	step := profile.InitialStepSec
 	var last *Result
 	// Degradation is sticky across refinements: once any iteration fell back

@@ -80,45 +80,11 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	cur := Schedule{Start: make([]int, n), Option: make([]int, n)}
 	cand := Schedule{Start: make([]int, n), Option: make([]int, n)}
 
-	hsp := actx.StartSpan("heuristics")
-	seeds := heuristicCandidates(p)
-	var best Schedule
-	var bestList, bestOpts []int
-	found := false
-	for _, c := range seeds {
-		ok := g.decodeInto(&cand, c.list, c.opts)
-		sgsCtr.Inc()
-		if !ok {
-			continue
-		}
-		if !found || cand.Makespan < best.Makespan {
-			best = cand.Clone()
-			bestList = append(bestList[:0], c.list...)
-			bestOpts = append(bestOpts[:0], c.opts...)
-			found = true
-		}
-	}
-	// A warm-start seed competes with the portfolio; when it wins, the
-	// search starts from the donor's (repaired) schedule instead.
-	if len(cfg.SeedList) == n && len(cfg.SeedOpts) == n {
-		ok := g.decodeInto(&cand, cfg.SeedList, cfg.SeedOpts)
-		sgsCtr.Inc()
-		if ok && (!found || cand.Makespan < best.Makespan) {
-			octx.Counter(obs.MSweepWarmImproved).Inc()
-			best = cand.Clone()
-			bestList = append(bestList[:0], cfg.SeedList...)
-			bestOpts = append(bestOpts[:0], cfg.SeedOpts...)
-			found = true
-		}
-	}
-	if found {
-		hsp.ArgInt("seeds", len(seeds)).ArgInt("best_makespan", best.Makespan)
-		rt.Incumbent(0, float64(best.Makespan))
-	}
-	hsp.End()
+	best, bestList, bestOpts, found := portfolio(actx, g, p, &cand, cfg.SeedList, cfg.SeedOpts)
 	if !found {
 		return Schedule{}, false
 	}
+	rt.Incumbent(0, float64(best.Makespan))
 	if n <= 1 || best.Makespan < cfg.StopBelow {
 		return best, true
 	}

@@ -7,42 +7,40 @@ import "math"
 // search it certifies the optimality gap the paper's near-optimality
 // criterion relies on (gap = (UB - LB) / UB <= 10%).
 func LowerBound(p *Problem) int {
-	lb := criticalPathBound(p)
-	if b := resourceEnergyBound(p); b > lb {
-		lb = b
-	}
-	if b := groupLoadBound(p); b > lb {
-		lb = b
-	}
-	return lb
+	return max(criticalPathBound(p), resourceEnergyBound(p), groupLoadBound(p))
 }
 
 // criticalPathBound is the longest dependency chain when every task takes
 // its minimum duration and every lag is honored.
 func criticalPathBound(p *Problem) int {
-	order := p.TopoOrder()
-	earliest := make([]int, len(p.Tasks))
 	bound := 0
-	for _, i := range order {
+	for i, e := range earliestStarts(p) {
+		bound = max(bound, e+p.Tasks[i].MinDuration())
+	}
+	return bound
+}
+
+// earliestStarts is the dependency-driven earliest start per task, with
+// every task at its minimum duration.
+func earliestStarts(p *Problem) []int {
+	est := make([]int, len(p.Tasks))
+	for _, i := range p.TopoOrder() {
 		ready := 0
 		for _, d := range p.Tasks[i].Deps {
 			var e int
 			switch d.Kind {
 			case FinishStart:
-				e = earliest[d.Task] + p.Tasks[d.Task].MinDuration() + d.Lag
+				e = est[d.Task] + p.Tasks[d.Task].MinDuration() + d.Lag
 			case StartStart:
-				e = earliest[d.Task] + d.Lag
+				e = est[d.Task] + d.Lag
 			}
 			if e > ready {
 				ready = e
 			}
 		}
-		earliest[i] = ready
-		if f := ready + p.Tasks[i].MinDuration(); f > bound {
-			bound = f
-		}
+		est[i] = ready
 	}
-	return bound
+	return est
 }
 
 // resourceEnergyBound divides, per cumulative resource, the minimum total

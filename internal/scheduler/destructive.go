@@ -57,7 +57,7 @@ func DestructiveLowerBound(ctx context.Context, p *Problem, ub int) int {
 // destroyed reports whether no schedule with makespan <= T can exist.
 func destroyed(p *Problem, T int) bool {
 	n := len(p.Tasks)
-	est := earliestStartsSched(p)
+	est := earliestStarts(p)
 	lst, ok := latestStarts(p, T)
 	if !ok {
 		return true // some task cannot fit at all
@@ -91,28 +91,6 @@ func destroyed(p *Problem, T int) bool {
 		return true
 	}
 	return groupOverload(p, est, lst, viable, T)
-}
-
-// earliestStartsSched is the dependency-driven earliest start per task.
-func earliestStartsSched(p *Problem) []int {
-	est := make([]int, len(p.Tasks))
-	for _, i := range p.TopoOrder() {
-		ready := 0
-		for _, d := range p.Tasks[i].Deps {
-			var e int
-			switch d.Kind {
-			case FinishStart:
-				e = est[d.Task] + p.Tasks[d.Task].MinDuration() + d.Lag
-			case StartStart:
-				e = est[d.Task] + d.Lag
-			}
-			if e > ready {
-				ready = e
-			}
-		}
-		est[i] = ready
-	}
-	return est
 }
 
 // latestStarts computes, for deadline T, the latest start of each task using

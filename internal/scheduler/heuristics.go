@@ -3,6 +3,8 @@ package scheduler
 import (
 	"math"
 	"sort"
+
+	"hilp/internal/obs"
 )
 
 // OptionPolicy selects one option per task.
@@ -168,18 +170,38 @@ type candidate struct {
 // returns the best schedule found. ok is false when no candidate could be
 // placed (an option demands more than a resource capacity).
 func HeuristicSchedule(p *Problem) (Schedule, bool) {
-	g := newSGS(p)
-	best := Schedule{}
-	found := false
-	for _, c := range heuristicCandidates(p) {
-		s, ok := g.decode(c.list, c.opts)
-		if !ok {
-			continue
-		}
-		if !found || s.Makespan < best.Makespan {
-			best = s
-			found = true
+	n := len(p.Tasks)
+	best, _, _, ok := portfolio(nil, newSGS(p), p, &Schedule{Start: make([]int, n), Option: make([]int, n)}, nil, nil)
+	return best, ok
+}
+
+// portfolio seeds a search: it decodes the priority-rule portfolio into
+// scratch and returns the best schedule with its activity list and options;
+// ok is false when no candidate could be placed. A warm-start seed (seedList
+// and seedOpts, used when both are task-count long) competes with the
+// portfolio; when it wins, the search starts from the donor's (repaired)
+// schedule instead.
+func portfolio(octx *obs.Context, g *sgs, p *Problem, scratch *Schedule, seedList, seedOpts []int) (best Schedule, list, opts []int, ok bool) {
+	hsp := octx.StartSpan("heuristics")
+	defer hsp.End()
+	sgsCtr := octx.Counter(obs.MSGSSchedules)
+	cands := heuristicCandidates(p)
+	heuristics := len(cands)
+	if n := len(p.Tasks); len(seedList) == n && len(seedOpts) == n {
+		cands = append(cands, candidate{list: seedList, opts: seedOpts})
+	}
+	for i, c := range cands {
+		decoded := g.decodeInto(scratch, c.list, c.opts)
+		sgsCtr.Inc()
+		if decoded && (!ok || scratch.Makespan < best.Makespan) {
+			if i == heuristics {
+				octx.Counter(obs.MSweepWarmImproved).Inc()
+			}
+			best, list, opts, ok = scratch.Clone(), append(list[:0], c.list...), append(opts[:0], c.opts...), true
 		}
 	}
-	return best, found
+	if ok {
+		hsp.ArgInt("seeds", heuristics).ArgInt("best_makespan", best.Makespan)
+	}
+	return best, list, opts, ok
 }

@@ -1,5 +1,10 @@
 package scheduler
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Double justification is a classic RCPSP schedule-improvement technique:
 // right-justify every task (push it as late as the current makespan allows),
 // then left-justify (pull everything back as early as possible). Each pass
@@ -29,21 +34,9 @@ func rightJustify(p *Problem, s Schedule) Schedule {
 
 	succ := p.Successors()
 	// Order: decreasing finish time, ties by decreasing start.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j], order[j-1]
-			fa, fb := s.Finish(p, a), s.Finish(p, b)
-			if fa > fb || (fa == fb && s.Start[a] > s.Start[b]) {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
-			}
-		}
-	}
+	order := tasksBy(n, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.Finish(p, b), s.Finish(p, a)), cmp.Compare(s.Start[b], s.Start[a]))
+	})
 
 	tl := newTimeline(p)
 	tl.grow(makespan + 1)
@@ -96,20 +89,24 @@ func rightJustify(p *Problem, s Schedule) Schedule {
 // start order as the activity list, which is the second half of double
 // justification.
 func leftJustify(p *Problem, s Schedule) Schedule {
-	n := len(p.Tasks)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && s.Start[order[j]] < s.Start[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	g := newSGS(p)
-	out, ok := g.decode(order, s.Option)
+	out, ok := newSGS(p).decode(byStart(s), s.Option)
 	if !ok {
 		return s.Clone()
 	}
 	return out
+}
+
+// byStart lists s's tasks by ascending start time, ties in task order.
+func byStart(s Schedule) []int {
+	return tasksBy(len(s.Start), func(a, b int) int { return cmp.Compare(s.Start[a], s.Start[b]) })
+}
+
+// tasksBy lists task indices 0..n-1 stably sorted by compare.
+func tasksBy(n int, compare func(a, b int) int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, compare)
+	return order
 }

@@ -15,8 +15,8 @@ import (
 type Config struct {
 	// Seed drives all randomized components deterministically.
 	Seed int64
-	// Effort scales the annealing budget; 1.0 is the default budget and 0
-	// selects it. Larger values spend proportionally more iterations.
+	// Effort scales the anneal and tabu budgets; 1.0 is the default budget
+	// and 0 selects it. Larger values spend proportionally more iterations.
 	Effort float64
 	// GapTarget is the relative optimality gap the solve tries to certify
 	// (the paper uses 0.10). 0 selects 0.10.
@@ -24,11 +24,16 @@ type Config struct {
 	// ExactTaskLimit enables the exact branch-and-bound when the instance
 	// has at most this many tasks. 0 selects a default of 12.
 	ExactTaskLimit int
-	// ExactNodeLimit caps exact-search nodes. 0 selects a default.
+	// ExactNodeLimit caps exact-search nodes. 0 selects a default. It is
+	// also the MILP's node cap, where 0 selects the milp package's default.
 	ExactNodeLimit int
 	// Restarts is the number of annealing restarts. 0 selects 2.
 	Restarts int
-	// Improver selects the metaheuristic: "anneal" (default) or "tabu".
+	// Improver names Solve's improve stage: "anneal" (simulated annealing,
+	// the default), "tabu" (tabu search) or "milp" (the time-indexed MILP
+	// solved by branch and bound, which certifies its own result: it reads
+	// GapTarget as its gap tolerance, where 0 proves optimality, and ignores
+	// Warm, Effort and Restarts). Unknown names are an error; see Improver.
 	Improver string
 	// Warm optionally seeds the search with a donor schedule from a related
 	// solve (a neighboring design point, or a coarser resolution of the same
@@ -44,9 +49,10 @@ type Config struct {
 
 	// refineBelow, when positive, is the makespan (in steps) under which the
 	// adaptive-resolution loop will discard this solve and re-solve at a
-	// finer step. The improver returns as soon as its incumbent falls below
-	// it, and Solve skips justification and certification. Unexported, so
-	// only the loop sets it (WithRefineBelow); it is not a caller option.
+	// finer step. The anneal and tabu improvers return as soon as their
+	// incumbent falls below it, and Solve skips justification and
+	// certification. Unexported, so only the loop sets it (WithRefineBelow);
+	// it is not a caller option.
 	refineBelow int
 }
 
@@ -58,10 +64,9 @@ func WithRefineBelow(cfg Config, steps int) Config {
 	return cfg
 }
 
+// withDefaults fills the defaults of the stages around the improver; the
+// improvers fill their own.
 func (c Config) withDefaults() Config {
-	if c.Effort == 0 {
-		c.Effort = 1
-	}
 	if c.GapTarget == 0 {
 		c.GapTarget = 0.10
 	}
@@ -70,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExactNodeLimit == 0 {
 		c.ExactNodeLimit = 500_000
-	}
-	if c.Restarts == 0 {
-		c.Restarts = 2
 	}
 	return c
 }
@@ -116,21 +118,32 @@ func Stopped(r Result) bool { return r.stopped }
 
 // Gap returns the relative optimality gap (UB - LB) / UB. A value of 0 means
 // proven optimal; the paper calls schedules with gap <= 0.10 near-optimal.
-func (r Result) Gap() float64 {
-	if r.Schedule.Makespan <= 0 {
+func (r Result) Gap() float64 { return gap(r.Schedule.Makespan, r.LowerBound) }
+
+// gap is the relative optimality gap of a makespan over a lower bound.
+func gap(makespan, lb int) float64 {
+	if makespan <= 0 {
 		return 0
 	}
-	return float64(r.Schedule.Makespan-r.LowerBound) / float64(r.Schedule.Makespan)
+	return float64(makespan-lb) / float64(makespan)
 }
 
 // ErrInfeasible is returned when no feasible schedule exists (some task has
 // no option whose demand fits within resource capacities).
 var ErrInfeasible = errors.New("scheduler: no feasible schedule exists")
 
-// Solve runs the layered strategy: priority-rule heuristics seed simulated
-// annealing; combinatorial lower bounds certify the gap; small instances are
-// finished with exact branch and bound. It mirrors the role of the ILP solver
-// invocation in the paper's Figure 1.
+// Solve runs the layered strategy with the improver cfg.Improver names (see
+// Improver). It is a fixed sequence of stages, each reporting its outcome
+// through one function (solveRun.record):
+//
+//	bounds -> warm start -> improve -> justify -> destructive LB -> exact
+//
+// Combinatorial lower bounds come first; a warm-start hint that already
+// certifies the gap target ends the solve; the improver searches from the
+// priority-rule heuristics; justification, destructive lower bounding and
+// exact branch and bound (small instances) then tighten a heuristic
+// improver's incumbent and certificate. It mirrors the role of the ILP
+// solver invocation in the paper's Figure 1.
 //
 // Solve honors ctx with anytime semantics: on cancellation or deadline
 // expiry it stops searching and returns the best incumbent found so far with
@@ -143,8 +156,32 @@ var ErrInfeasible = errors.New("scheduler: no feasible schedule exists")
 // caller, so one poisoned instance cannot kill a sweep worker or a service
 // goroutine. It is also a fault-injection site (faults.SiteSolve) when the
 // context carries an injector.
-func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) {
-	cfg = cfg.withDefaults()
+func Solve(ctx context.Context, p *Problem, cfg Config) (Result, error) {
+	solve, err := Improver(cfg.Improver)
+	if err != nil {
+		return Result{}, err
+	}
+	return solve(ctx, p, cfg, false)
+}
+
+// solveRun is one Solve call moving through the stages: the instance, the
+// stage settings, the telemetry sinks and the certificate so far.
+type solveRun struct {
+	ctx   context.Context
+	p     *Problem
+	cfg   Config // with the stage defaults filled
+	span  obs.Span
+	octx  *obs.Context // under span: stage spans and the improver nest in it
+	rt    obs.SolveTrace
+	pub   bool // a bus has live subscribers: record publishes stage events
+	reqID string
+
+	Result
+}
+
+// solve runs the stages with improver imp, named name. cfg reaches the
+// improver as given, since improvers fill their own defaults.
+func solve(ctx context.Context, p *Problem, cfg Config, name string, imp improver, retry bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe := NewPanicError("scheduler.Solve", r)
@@ -165,190 +202,175 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (res Result, err error) 
 		return Result{Schedule: Schedule{Start: []int{}, Option: []int{}}, Method: "trivial", Proven: true}, nil
 	}
 
-	octx := cfg.Obs
-	sp := octx.StartSpan("solve").ArgInt("tasks", len(p.Tasks))
-	defer sp.End()
-	sctx := octx.WithSpan(sp)
-	octx.Counter(obs.MSolves).Inc()
-
-	// The solve-level flight-recorder trace tracks incumbent and bound per
-	// stage (0 bounds, 1 improver, 2 justify, 3 destructive LB, 4 exact) and
-	// carries the final gap certificate.
-	rt := octx.Record("solve")
-	defer rt.End()
-
-	// Live stage-transition events for bus subscribers (SSE streams, -follow
-	// terminals). Publishing() gates both the event build and the request-ID
-	// lookup, so solves with no live listener skip the work entirely.
-	var reqID string
-	pub := octx.Publishing()
-	if pub {
-		reqID = obs.RequestID(ctx)
-	}
-	stageEv := func(stage string, iter int, value float64) {
-		if pub {
-			octx.Publish(obs.BusEvent{Kind: "stage", Name: stage, Req: reqID, Iter: iter, Value: value})
-		}
+	cfg.Obs.Counter(obs.MSolves).Inc()
+	s := &solveRun{ctx: ctx, p: p, cfg: cfg.withDefaults(), span: cfg.Obs.StartSpan("solve").ArgInt("tasks", len(p.Tasks)),
+		rt: cfg.Obs.Record("solve")}
+	defer s.span.End()
+	defer s.rt.End()
+	s.octx = cfg.Obs.WithSpan(s.span)
+	if s.pub = s.octx.Publishing(); s.pub {
+		s.reqID = obs.RequestID(ctx)
 	}
 
-	bsp := sctx.StartSpan("bounds")
-	lb := LowerBound(p)
-	bsp.ArgInt("lower_bound", lb)
+	bsp := s.octx.StartSpan("bounds")
+	s.LowerBound = LowerBound(p)
+	s.record(bsp, "bounds", 0, true, s.LowerBound)
 	bsp.End()
-	rt.Bound(0, float64(lb))
-	stageEv("bounds", 0, float64(lb))
 
-	// Warm start: repair the donor hint onto this instance. If the repaired
-	// (and justified) schedule already certifies the gap target against the
-	// cheap lower bound, the improver and exact stages are skipped — the
-	// sweep engine's main cross-point throughput lever. Otherwise the warm
-	// candidate seeds the improver alongside the heuristic portfolio.
-	var warmList, warmOpts []int
-	if cfg.Warm != nil {
-		if c, okSeed := cfg.Warm.seed(p); okSeed {
-			wsp := sctx.StartSpan("warmstart")
-			ws, okDecode := newSGS(p).decode(c.list, c.opts)
-			if okDecode {
-				octx.Counter(obs.MSweepWarmUsed).Inc()
-				if j := Justify(p, ws); j.Makespan < ws.Makespan {
-					ws = j
-				}
-				warmGap := 0.0
-				if ws.Makespan > 0 {
-					warmGap = float64(ws.Makespan-lb) / float64(ws.Makespan)
-				}
-				wsp.ArgInt("makespan", ws.Makespan).Arg("gap", warmGap)
-				if warmGap <= cfg.GapTarget && ws.Validate(p) == nil {
-					wsp.End()
-					octx.Counter(obs.MSweepWarmShortcut).Inc()
-					rt.Incumbent(1, float64(ws.Makespan))
-					stageEv("warmstart", 1, float64(ws.Makespan))
-					proven := ws.Makespan == lb
-					octx.Gauge(obs.MLowerBoundSteps).Set(float64(lb))
-					octx.Gauge(obs.MMakespanSteps).Set(float64(ws.Makespan))
-					sp.ArgInt("makespan", ws.Makespan).ArgInt("lower_bound", lb).ArgStr("method", "warmstart")
-					rt.Certify(float64(ws.Makespan), float64(lb), proven)
-					return Result{Schedule: ws, LowerBound: lb, Proven: proven, Method: "warmstart",
-						Cancelled: ctx.Err() != nil && !proven}, nil
-				}
-				warmList, warmOpts = c.list, c.opts
-			}
-			wsp.End()
+	var warm candidate
+	if cfg.Warm != nil && !imp.certifies() {
+		var done bool
+		if warm, done = s.warmStart(cfg.Warm); done {
+			return s.result(), nil
 		}
 	}
 
-	var (
-		best     Schedule
-		ok       bool
-		improver string
-	)
-	switch cfg.Improver {
-	case "tabu":
-		best, ok = TabuSearch(ctx, p, TabuConfig{
-			Iterations: int(cfg.Effort * float64(1000+150*len(p.Tasks))),
-			Seed:       cfg.Seed,
-			SeedList:   warmList,
-			SeedOpts:   warmOpts,
-			StopBelow:  cfg.refineBelow,
-			Obs:        sctx,
-		})
-		improver = "tabu"
-	case "", "anneal":
-		best, ok = Anneal(ctx, p, AnnealConfig{
-			Iterations: int(cfg.Effort * float64(2000+400*len(p.Tasks))),
-			Restarts:   cfg.Restarts,
-			Seed:       cfg.Seed,
-			SeedList:   warmList,
-			SeedOpts:   warmOpts,
-			StopBelow:  cfg.refineBelow,
-			Obs:        sctx,
-		})
-		improver = "anneal"
-	default:
-		return Result{}, fmt.Errorf("scheduler: unknown improver %q (want anneal or tabu)", cfg.Improver)
+	cfg.Obs = s.octx
+	out, err := imp.improve(ctx, p, cfg, warm, retry)
+	if err != nil {
+		return Result{}, err
 	}
-	if !ok {
-		return Result{}, fmt.Errorf("%w: a task's every option exceeds a resource capacity", ErrInfeasible)
+	s.Schedule, s.Method, s.stopped = out.best, name, out.stopped
+	s.record(obs.Span{}, name, 1, false, s.Schedule.Makespan)
+	if out.bound > s.LowerBound {
+		s.LowerBound = out.bound
+		s.record(obs.Span{}, name, 1, true, out.bound)
 	}
-	rt.Incumbent(1, float64(best.Makespan))
-	stageEv(improver, 1, float64(best.Makespan))
-	method := improver
-
-	// The improver only ends below refineBelow by stopping there. Later
-	// stages can only lower the makespan, so the adaptive loop refines past
-	// this solve either way: return the incumbent as is.
-	stopped := best.Makespan < cfg.refineBelow
-
-	// Double justification: a cheap pass that never hurts and often shaves
-	// steps off the improved schedule.
-	if !stopped {
-		if j := Justify(p, best); j.Makespan < best.Makespan {
-			best = j
-			method += "+justify"
-			rt.Incumbent(2, float64(best.Makespan))
-			stageEv("justify", 2, float64(best.Makespan))
-		}
+	// A certifying improver's proof is its own; a heuristic incumbent is
+	// proven when it meets the bound.
+	s.Proven = out.proven || (!imp.certifies() && s.Schedule.Makespan == s.LowerBound)
+	// A stopped improver's incumbent is below the refinement threshold, and
+	// later stages only lower the makespan: the adaptive loop refines past
+	// this solve either way, so it is returned as is.
+	if !imp.certifies() && !s.stopped {
+		s.justify()
+		s.destructiveLB()
+		s.exact(name)
 	}
-
-	proven := best.Makespan == lb
-	nodes := 0
-
-	gap := func() float64 {
-		if best.Makespan == 0 {
-			return 0
-		}
-		return float64(best.Makespan-lb) / float64(best.Makespan)
-	}
-
-	// Destructive lower bounding tightens the certificate when the cheap
-	// combinatorial bounds leave a gap. Skipped once the context is done:
-	// the cheap bound already certifies a (looser) gap.
-	if !stopped && !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
-		dsp := sctx.StartSpan("destructive-lb")
-		if d := DestructiveLowerBound(ctx, p, best.Makespan); d > lb {
-			lb = d
-			proven = best.Makespan == lb
-			rt.Bound(3, float64(lb))
-			stageEv("destructive-lb", 3, float64(lb))
-		}
-		dsp.ArgInt("lower_bound", lb)
-		dsp.End()
-	}
-
-	if !stopped && !proven && gap() > cfg.GapTarget && ctx.Err() == nil {
-		// The exact stage span is recorded even when the search is skipped,
-		// so traces show why a gap was left uncertified.
-		xsp := sctx.StartSpan("exact")
-		if len(p.Tasks) <= cfg.ExactTaskLimit {
-			ex := SolveExact(ctx, p, ExactConfig{NodeLimit: cfg.ExactNodeLimit, UpperBound: best.Makespan, Obs: sctx.WithSpan(xsp)})
-			nodes = ex.Nodes
-			if ex.Found {
-				best = ex.Schedule
-				method = "exact"
-				rt.Incumbent(4, float64(best.Makespan))
-				stageEv("exact", 4, float64(best.Makespan))
-			}
-			if ex.Exhausted {
-				proven = true
-				lb = best.Makespan
-				rt.Bound(4, float64(lb))
-				if !ex.Found {
-					method = improver + "+exact-proof"
-				}
-			}
-		} else {
-			xsp.ArgStr("skipped", "task-limit").ArgInt("tasks", len(p.Tasks)).ArgInt("limit", cfg.ExactTaskLimit)
-		}
-		xsp.End()
-	}
-
-	if err := best.Validate(p); err != nil {
+	if err := s.Schedule.Validate(p); err != nil {
 		return Result{}, fmt.Errorf("scheduler: internal error, produced invalid schedule: %w", err)
 	}
-	cancelled := ctx.Err() != nil && !proven
-	octx.Gauge(obs.MLowerBoundSteps).Set(float64(lb))
-	octx.Gauge(obs.MMakespanSteps).Set(float64(best.Makespan))
-	sp.ArgInt("makespan", best.Makespan).ArgInt("lower_bound", lb).ArgStr("method", method)
-	rt.Certify(float64(best.Makespan), float64(lb), proven)
-	return Result{Schedule: best, LowerBound: lb, Proven: proven, Method: method, Nodes: nodes, Cancelled: cancelled, stopped: stopped}, nil
+	return s.result(), nil
+}
+
+// record reports one stage outcome v, an incumbent makespan or (bound set) a
+// lower bound: as an arg of the stage's span sp, as the flight recorder's
+// event at stage index idx (0 bounds, 1 warm start or improver, 2 justify,
+// 3 destructive LB, 4 exact), and as a bus "stage" event for live
+// subscribers (SSE streams, -follow terminals).
+func (s *solveRun) record(sp obs.Span, stage string, idx int, bound bool, v int) {
+	if bound {
+		sp.ArgInt("lower_bound", v)
+		s.rt.Bound(idx, float64(v))
+	} else {
+		sp.ArgInt("makespan", v)
+		s.rt.Incumbent(idx, float64(v))
+	}
+	if s.pub {
+		s.octx.Publish(obs.BusEvent{Kind: "stage", Name: stage, Req: s.reqID, Iter: idx, Value: float64(v)})
+	}
+}
+
+// result ends the solve: the step gauges, the solve span's outcome args and
+// the recorder's gap certificate, then the Result itself.
+func (s *solveRun) result() Result {
+	ms, lb := s.Schedule.Makespan, s.LowerBound
+	s.octx.Gauge(obs.MLowerBoundSteps).Set(float64(lb))
+	s.octx.Gauge(obs.MMakespanSteps).Set(float64(ms))
+	s.span.ArgInt("makespan", ms).ArgInt("lower_bound", lb).ArgStr("method", s.Method)
+	s.rt.Certify(float64(ms), float64(lb), s.Proven)
+	s.Cancelled = s.ctx.Err() != nil && !s.Proven
+	return s.Result
+}
+
+// warmStart repairs the donor hint onto the instance. If the repaired (and
+// justified) schedule already certifies the gap target against the cheap
+// lower bound, it becomes the result (Method "warmstart") and done is set:
+// the improver and later stages are skipped, the sweep engine's main
+// cross-point throughput lever. Otherwise the hint's candidate seeds the
+// improver alongside the heuristic portfolio.
+func (s *solveRun) warmStart(hint *WarmStart) (warm candidate, done bool) {
+	c, ok := hint.seed(s.p)
+	if !ok {
+		return candidate{}, false
+	}
+	wsp := s.octx.StartSpan("warmstart")
+	defer wsp.End()
+	ws, ok := newSGS(s.p).decode(c.list, c.opts)
+	if !ok {
+		return candidate{}, false
+	}
+	s.octx.Counter(obs.MSweepWarmUsed).Inc()
+	if j := Justify(s.p, ws); j.Makespan < ws.Makespan {
+		ws = j
+	}
+	warmGap := gap(ws.Makespan, s.LowerBound)
+	wsp.ArgInt("makespan", ws.Makespan).Arg("gap", warmGap)
+	if warmGap > s.cfg.GapTarget || ws.Validate(s.p) != nil {
+		return c, false
+	}
+	s.octx.Counter(obs.MSweepWarmShortcut).Inc()
+	s.Schedule, s.Method, s.Proven = ws, "warmstart", ws.Makespan == s.LowerBound
+	s.record(obs.Span{}, "warmstart", 1, false, ws.Makespan)
+	return candidate{}, true
+}
+
+// justify is double justification: a cheap pass that never hurts and often
+// shaves steps off the improved schedule.
+func (s *solveRun) justify() {
+	if j := Justify(s.p, s.Schedule); j.Makespan < s.Schedule.Makespan {
+		s.Schedule, s.Method, s.Proven = j, s.Method+"+justify", j.Makespan == s.LowerBound
+		s.record(obs.Span{}, "justify", 2, false, j.Makespan)
+	}
+}
+
+// certifying reports whether the gap is still open past the target with
+// time left to close it, the condition of the destructive-LB and exact
+// stages. Once the context is done the cheap bound already certifies a
+// (looser) gap.
+func (s *solveRun) certifying() bool {
+	return !s.Proven && s.Gap() > s.cfg.GapTarget && s.ctx.Err() == nil
+}
+
+// destructiveLB tightens the certificate when the cheap combinatorial bounds
+// leave a gap.
+func (s *solveRun) destructiveLB() {
+	if !s.certifying() {
+		return
+	}
+	dsp := s.octx.StartSpan("destructive-lb")
+	defer dsp.End()
+	if d := DestructiveLowerBound(s.ctx, s.p, s.Schedule.Makespan); d > s.LowerBound {
+		s.LowerBound, s.Proven = d, s.Schedule.Makespan == d
+		s.record(dsp, "destructive-lb", 3, true, d)
+	}
+}
+
+// exact finishes small instances with branch and bound: a better schedule,
+// a proof for the incumbent of improver name, or both. Its span is recorded
+// even when the search is skipped, so traces show why a gap was left
+// uncertified.
+func (s *solveRun) exact(name string) {
+	if !s.certifying() {
+		return
+	}
+	xsp := s.octx.StartSpan("exact")
+	defer xsp.End()
+	if len(s.p.Tasks) > s.cfg.ExactTaskLimit {
+		xsp.ArgStr("skipped", "task-limit").ArgInt("tasks", len(s.p.Tasks)).ArgInt("limit", s.cfg.ExactTaskLimit)
+		return
+	}
+	ex := SolveExact(s.ctx, s.p, ExactConfig{NodeLimit: s.cfg.ExactNodeLimit, UpperBound: s.Schedule.Makespan, Obs: s.octx.WithSpan(xsp)})
+	s.Nodes = ex.Nodes
+	if ex.Found {
+		s.Schedule, s.Method = ex.Schedule, "exact"
+		s.record(obs.Span{}, "exact", 4, false, s.Schedule.Makespan)
+	}
+	if ex.Exhausted {
+		s.Proven, s.LowerBound = true, s.Schedule.Makespan
+		s.record(obs.Span{}, "exact", 4, true, s.LowerBound)
+		if !ex.Found {
+			s.Method = name + "+exact-proof"
+		}
+	}
 }

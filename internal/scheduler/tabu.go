@@ -101,37 +101,7 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	scratch := Schedule{Start: make([]int, n), Option: make([]int, n)}
 	cur := Schedule{Start: make([]int, n), Option: make([]int, n)}
 
-	hsp := tctx.StartSpan("heuristics")
-	var best Schedule
-	var list, opts []int
-	found := false
-	for _, c := range heuristicCandidates(p) {
-		ok := g.decodeInto(&scratch, c.list, c.opts)
-		sgsCtr.Inc()
-		if !ok {
-			continue
-		}
-		if !found || scratch.Makespan < best.Makespan {
-			best = scratch.Clone()
-			list = append(list[:0], c.list...)
-			opts = append(opts[:0], c.opts...)
-			found = true
-		}
-	}
-	// A warm-start seed competes with the portfolio; when it wins, the
-	// search starts from the donor's (repaired) schedule instead.
-	if len(cfg.SeedList) == n && len(cfg.SeedOpts) == n {
-		ok := g.decodeInto(&scratch, cfg.SeedList, cfg.SeedOpts)
-		sgsCtr.Inc()
-		if ok && (!found || scratch.Makespan < best.Makespan) {
-			octx.Counter(obs.MSweepWarmImproved).Inc()
-			best = scratch.Clone()
-			list = append(list[:0], cfg.SeedList...)
-			opts = append(opts[:0], cfg.SeedOpts...)
-			found = true
-		}
-	}
-	hsp.End()
+	best, list, opts, found := portfolio(tctx, g, p, &scratch, cfg.SeedList, cfg.SeedOpts)
 	if !found {
 		return Schedule{}, false
 	}

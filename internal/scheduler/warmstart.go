@@ -1,7 +1,5 @@
 package scheduler
 
-import "sort"
-
 // WarmStart is a solver hint carrying a donor schedule in a
 // problem-portable form: the donor's task order (ascending start time) and
 // the option label the donor chose per task. Task indexing must agree
@@ -31,13 +29,7 @@ func WarmStartOf(p *Problem, s Schedule) *WarmStart {
 	if len(s.Start) != n || len(s.Option) != n {
 		return nil
 	}
-	ws := &WarmStart{Order: make([]int, n), Labels: make([]string, n)}
-	for i := range ws.Order {
-		ws.Order[i] = i
-	}
-	sort.SliceStable(ws.Order, func(a, b int) bool {
-		return s.Start[ws.Order[a]] < s.Start[ws.Order[b]]
-	})
+	ws := &WarmStart{Order: byStart(s), Labels: make([]string, n)}
 	for i := 0; i < n; i++ {
 		if oi := s.Option[i]; oi >= 0 && oi < len(p.Tasks[i].Options) {
 			ws.Labels[i] = p.Tasks[i].Options[oi].Label

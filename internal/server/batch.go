@@ -29,6 +29,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		version:    &req.SchemaVersion,
 		timeoutSec: &req.TimeoutSec,
 		validate: func() (apiErr *apiError) {
+			if apiErr = checkSolver(req.Solver); apiErr != nil {
+				return apiErr
+			}
 			workload, specs, apiErr = resolveSpecs(req.Workload, req.Specs, req.Space)
 			return apiErr
 		},

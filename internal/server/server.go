@@ -724,6 +724,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		req:        &req,
 		version:    &req.SchemaVersion,
 		timeoutSec: &req.TimeoutSec,
+		validate:   func() *apiError { return checkSolver(req.Solver) },
 		solve: func(ctx context.Context) (solveOutcome, *apiError) {
 			evaluate := s.evaluateTemplate
 			if req.Model != nil {
@@ -744,6 +745,18 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			}, nil
 		},
 	})
+}
+
+// checkSolver rejects a solver configuration whose improver is not in the
+// scheduler's improver table.
+func checkSolver(c *wire.SolverConfig) *apiError {
+	if c == nil {
+		return nil
+	}
+	if _, err := scheduler.Improver(c.Improver); err != nil {
+		return &apiError{http.StatusBadRequest, "bad_request", err}
+	}
+	return nil
 }
 
 // evaluateTemplate solves a (workload, SoC) pair from the paper's template.
@@ -926,6 +939,9 @@ func resolveSpecs(ww *wire.Workload, specs []wire.SoC, space *wire.Space) (rodin
 
 // planSweep validates a sweep request and resolves it into a runnable plan.
 func (s *Server) planSweep(req *wire.SweepRequest) (*sweepPlan, *apiError) {
+	if apiErr := checkSolver(req.Solver); apiErr != nil {
+		return nil, apiErr
+	}
 	workload, specs, apiErr := resolveSpecs(req.Workload, req.Specs, req.Space)
 	if apiErr != nil {
 		return nil, apiErr

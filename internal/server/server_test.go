@@ -231,6 +231,24 @@ func TestEvaluateBadRequests(t *testing.T) {
 			t.Errorf("%s: code %q, want %q", name, e.Code, tc.code)
 		}
 	}
+
+	// An unknown improver fails the validate stage of every solve route,
+	// before admission, and the error names the improvers there are.
+	for path, body := range map[string]string{
+		"/v1/evaluate": `{"soc":{"cpuCores":1},"solver":{"improver":"foo"}}`,
+		"/v1/batch":    `{"specs":[{"cpuCores":1}],"solver":{"improver":"foo"}}`,
+		"/v1/sweep":    `{"specs":[{"cpuCores":1}],"solver":{"improver":"foo"}}`,
+	} {
+		resp, out := post(t, ts.URL+path, []byte(body))
+		var e wire.ErrorResponse
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Errorf("%s: error body %s", path, out)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Error, "milp") {
+			t.Errorf("%s with an unknown improver: status %d code %q error %q, want 400 bad_request naming milp",
+				path, resp.StatusCode, e.Code, e.Error)
+		}
+	}
 }
 
 // TestSweepJobGablesBaseline runs a v1 sweep under the Gables baseline: the

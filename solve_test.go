@@ -2,6 +2,7 @@ package hilp_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,22 @@ func miniWorkload() hilp.Workload {
 }
 
 var quickProfile = hilp.Profile{InitialStepSec: 10, Horizon: 200, RefineWhileBelow: 0, MaxRefinements: 0}
+
+// TestSolveRejectsUnknownImprover checks that an unknown improver fails
+// before any instance is built, with an error naming the improvers there
+// are.
+func TestSolveRejectsUnknownImprover(t *testing.T) {
+	tr := hilp.NewTracer()
+	_, err := hilp.Solve(context.Background(), miniWorkload(), hilp.SoC{CPUCores: 2, GPUSMs: 16},
+		hilp.WithProfile(quickProfile), hilp.WithObs(&hilp.ObsContext{Tracer: tr}),
+		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Improver: "foo"}))
+	if err == nil || !strings.Contains(err.Error(), `unknown improver "foo" (want anneal, tabu or milp)`) {
+		t.Fatalf("err = %v, want an unknown-improver error naming anneal, tabu and milp", err)
+	}
+	for _, sp := range tr.Snapshot() {
+		t.Errorf("span %q recorded: the improver was checked after work began", sp.Name)
+	}
+}
 
 func TestSolveBaselines(t *testing.T) {
 	w := miniWorkload()
