@@ -107,15 +107,14 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	}
 	totalIters := root.Iters
 	var nodes, pruned int
-	sp := octx.StartSpan("milp-bb").ArgInt("vars", len(p.Vars)).ArgInt("integers", p.NumIntegers())
-	rt := octx.Record("milp-bb")
-	defer rt.End()
+	run := octx.StartSolver(ctx, "milp-bb")
+	run.Span().ArgInt("vars", len(p.Vars)).ArgInt("integers", p.NumIntegers())
 	defer func() {
 		octx.Counter(obs.MSimplexPivots).Add(int64(totalIters))
 		octx.Counter(obs.MBBNodes).Add(int64(nodes))
 		octx.Counter(obs.MBBPruned).Add(int64(pruned))
-		sp.ArgInt("nodes", nodes).ArgInt("pruned", pruned).ArgInt("pivots", totalIters)
-		sp.End()
+		run.Span().ArgInt("nodes", nodes).ArgInt("pruned", pruned).ArgInt("pivots", totalIters)
+		run.End()
 	}()
 	switch root.Status {
 	case Infeasible:
@@ -141,7 +140,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		if err := p.CheckFeasible(opts.WarmStart, 10*opts.IntTol); err == nil {
 			incumbent = roundIntegers(p, opts.WarmStart, opts.IntTol)
 			incumbentObj = key(p.ObjectiveValue(incumbent))
-			rt.Incumbent(0, p.ObjectiveValue(incumbent))
+			run.Incumbent(0, p.ObjectiveValue(incumbent))
 		}
 	}
 
@@ -182,7 +181,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	limitHit := false
 	// Bound events are recorded in the problem's own objective space (key is
 	// its own inverse), throttled to changes of the proven bound.
-	rt.Bound(0, root.Objective)
+	run.Bound(0, root.Objective)
 	lastRecBound := bestBound
 
 	for pq.Len() > 0 {
@@ -196,8 +195,8 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 			continue // dominated
 		}
 		bestBound = node.bound
-		if rt.Active() && bestBound != lastRecBound {
-			rt.Bound(nodes, key(bestBound))
+		if bestBound != lastRecBound {
+			run.Bound(nodes, key(bestBound))
 			lastRecBound = bestBound
 		}
 		if !math.IsInf(incumbentObj, 1) && opts.GapTolerance > 0 {
@@ -236,7 +235,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 			if obj := key(lp.Objective); obj < incumbentObj {
 				incumbentObj = obj
 				incumbent = roundIntegers(p, lp.X, opts.IntTol)
-				rt.Incumbent(nodes, lp.Objective)
+				run.Incumbent(nodes, lp.Objective)
 			}
 			continue
 		}
@@ -310,7 +309,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	if limitHit && gap > opts.GapTolerance+1e-12 {
 		status = Feasible
 	}
-	rt.Certify(obj, bound, status == Optimal)
+	run.Certify(obj, bound, status == Optimal)
 	return Solution{Status: status, X: incumbent, Objective: obj, Bound: bound, Nodes: nodes, Iters: totalIters}, nil
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -157,12 +158,9 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 }
 
-func TestContextPublishAndPublishing(t *testing.T) {
+func TestContextPublish(t *testing.T) {
 	var nilCtx *Context
 	nilCtx.Publish(BusEvent{}) // nil-safe
-	if nilCtx.Publishing() {
-		t.Error("nil context Publishing = true")
-	}
 	octx := &Context{}
 	octx.Publish(BusEvent{}) // no bus attached
 	if octx.Enabled() {
@@ -173,13 +171,7 @@ func TestContextPublishAndPublishing(t *testing.T) {
 	if !octx.Enabled() {
 		t.Error("context with bus Enabled = false")
 	}
-	if octx.Publishing() {
-		t.Error("Publishing = true with no subscribers")
-	}
 	s := octx.Bus.Subscribe()
-	if !octx.Publishing() {
-		t.Error("Publishing = false with a subscriber")
-	}
 	octx.Publish(BusEvent{Kind: "sweep", Name: "start"})
 	if ev := <-s.C; ev.Kind != "sweep" || ev.Name != "start" {
 		t.Errorf("event = %+v", ev)
@@ -191,25 +183,40 @@ func TestRecordFansEventsToBus(t *testing.T) {
 	defer bus.Close()
 	octx := &Context{Recorder: NewRecorder(), Bus: bus}
 	s := bus.Subscribe()
-	tr := octx.Record("anneal")
+	tr := octx.StartSolver(WithRequestID(context.Background(), "req-1"), "anneal")
 	tr.Incumbent(10, 42)
-	tr.Certify(42, 40, false)
+	tr.Stage("justify", EvIncumbent, 2, 41)
+	tr.Certify(41, 40, false)
 	tr.End()
 	ev := <-s.C
-	if ev.Kind != "solver" || ev.Name != "anneal" || ev.Event != "incumbent" || ev.Iter != 10 || ev.Value != 42 {
+	if ev != (BusEvent{Seq: ev.Seq, TimeUnixNano: ev.TimeUnixNano, Kind: "solver", Name: "anneal", Event: "incumbent", Req: "req-1", Iter: 10, Value: 42}) {
 		t.Errorf("incumbent event = %+v", ev)
 	}
+	// A stage outcome goes out once, as a "stage" event, not also as a
+	// "solver" one.
+	stage := <-s.C
+	if stage != (BusEvent{Seq: stage.Seq, TimeUnixNano: stage.TimeUnixNano, Kind: "stage", Name: "justify", Req: "req-1", Iter: 2, Value: 41}) {
+		t.Errorf("stage event = %+v", stage)
+	}
 	cert := <-s.C
-	if cert.Event != "certificate" || cert.Value != 42 {
+	if cert.Kind != "solver" || cert.Event != "certificate" || cert.Req != "req-1" || cert.Value != 41 {
 		t.Errorf("certificate event = %+v", cert)
 	}
-	if wantGap := (42.0 - 40.0) / 42.0; cert.Gap != wantGap {
+	if wantGap := (41.0 - 40.0) / 41.0; cert.Gap != wantGap {
 		t.Errorf("certificate gap = %g, want %g", cert.Gap, wantGap)
+	}
+	select {
+	case extra := <-s.C:
+		t.Errorf("unexpected event %+v", extra)
+	default:
 	}
 	// The recorder still captured everything alongside the live fan-out.
 	recs := octx.Recorder.Snapshot()
-	if len(recs) != 1 || len(recs[0].Events) != 1 || recs[0].Certificate == nil {
+	if len(recs) != 1 || len(recs[0].Events) != 2 || recs[0].Certificate == nil {
 		t.Fatalf("recorder snapshot = %+v", recs)
+	}
+	if e := recs[0].Events[1]; e.Kind != EvIncumbent || e.Iter != 2 || e.Value != 41 {
+		t.Errorf("recorded stage event = %+v", e)
 	}
 }
 
@@ -218,13 +225,28 @@ func TestRecordBusOnlyWithoutRecorder(t *testing.T) {
 	defer bus.Close()
 	octx := &Context{Bus: bus}
 	s := bus.Subscribe()
-	tr := octx.Record("tabu")
-	if !tr.Active() {
-		t.Fatal("bus-only trace should be active")
-	}
+	tr := octx.StartSolver(context.Background(), "tabu")
 	tr.Bound(3, 17)
 	tr.End()
 	if ev := <-s.C; ev.Event != "bound" || ev.Value != 17 {
 		t.Errorf("event = %+v", ev)
+	}
+}
+
+func TestSolverRunOwnsSpan(t *testing.T) {
+	tr := NewTracer()
+	octx := &Context{Tracer: tr}
+	parent := octx.StartSpan("solve")
+	run := octx.WithSpan(parent).StartSolver(context.Background(), "anneal")
+	run.Span().ArgInt("iterations", 5)
+	run.End()
+	run.End() // idempotent
+	parent.End()
+	recs := tr.Snapshot()
+	if len(recs) != 2 || recs[1].Name != "anneal" || recs[1].TID != recs[0].TID || recs[1].DurNs < 0 || recs[1].Args["iterations"] != 5 {
+		t.Fatalf("spans = %+v, want an ended anneal child of solve", recs)
+	}
+	if err := WellNested(recs); err != nil {
+		t.Error(err)
 	}
 }

@@ -67,29 +67,24 @@ func (c *Context) Publish(ev BusEvent) {
 	c.Bus.Publish(ev)
 }
 
-// Publishing reports whether a bus with at least one subscriber is attached,
-// so hot paths can skip building events nobody is listening to.
-func (c *Context) Publishing() bool {
-	return c != nil && c.Bus != nil && c.Bus.SubscriberCount() > 0
-}
-
-// Recording reports whether a flight recorder is attached.
-func (c *Context) Recording() bool { return c != nil && c.Recorder != nil }
-
-// Record opens a flight-recorder trace for one solver run. Disabled contexts
-// return an inert trace, so solvers record unconditionally. When the context
-// carries a bus with live subscribers the trace also fans its events out as
-// Kind "solver" bus events.
-func (c *Context) Record(solver string) SolveTrace {
-	if c == nil || (c.Recorder == nil && c.Bus == nil) {
-		return SolveTrace{}
+// StartSolver opens the run of solver name, whose handle then owns all of
+// its telemetry: a span, a child of the context's current span; a
+// flight-recorder record; and, when the bus has live subscribers now, a bus
+// binding whose events carry ctx's request ID. End closes all three. A
+// disabled context returns an inert handle, so solvers record
+// unconditionally.
+func (c *Context) StartSolver(ctx context.Context, name string) SolverRun {
+	if c == nil {
+		return SolverRun{}
 	}
-	t := c.Recorder.Begin(solver)
-	if c.Bus != nil && c.Bus.SubscriberCount() > 0 {
-		t.bus = c.Bus
-		t.solver = solver
+	run := SolverRun{span: c.StartSpan(name), name: name}
+	if c.Recorder != nil {
+		run.r, run.idx = c.Recorder, c.Recorder.begin(name)
 	}
-	return t
+	if c.Bus.SubscriberCount() > 0 {
+		run.bus, run.req = c.Bus, RequestID(ctx)
+	}
+	return run
 }
 
 // Tracing reports whether spans are being recorded. Call sites use it to

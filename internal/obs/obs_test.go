@@ -37,6 +37,7 @@ func TestNoOpPathAllocatesNothing(t *testing.T) {
 	}{
 		{"nil", nilCtx},
 		{"disabled", disabled},
+		{"idle bus", &Context{Bus: NewBus(1)}},
 	} {
 		ctx := tc.ctx
 		allocs := testing.AllocsPerRun(1000, func() {
@@ -48,6 +49,11 @@ func TestNoOpPathAllocatesNothing(t *testing.T) {
 			ctx.Gauge(MCertifiedGap).Set(0.1)
 			ctx.Histogram(MSweepPointSec).Observe(0.5)
 			ctx.Log(context.Background(), slog.LevelDebug, "suppressed")
+			run := ctx.WithSpan(sp).StartSolver(context.Background(), "anneal")
+			run.Incumbent(1, 10)
+			run.Stage("bounds", EvBound, 0, 8)
+			run.Certify(10, 8, false)
+			run.End()
 			sp.End()
 		})
 		if allocs != 0 {

@@ -80,8 +80,7 @@ type solveRec struct {
 // Recorder collects per-solve convergence events from the solver stack: the
 // flight recorder behind run reports. Like Tracer it is safe for concurrent
 // use (sweep workers record in parallel) and a nil *Recorder is a valid,
-// fully disabled recorder — Begin returns an inert SolveTrace, so call sites
-// record unconditionally at no cost on the disabled path.
+// fully disabled recorder. Solvers record through a SolverRun.
 type Recorder struct {
 	mu     sync.Mutex
 	now    func() int64 // nanoseconds since recorder creation
@@ -101,60 +100,73 @@ func NewRecorderWithClock(now func() int64) *Recorder {
 	return &Recorder{now: now}
 }
 
-// Begin opens a new solver run. A nil recorder returns an inert trace.
-func (r *Recorder) Begin(solver string) SolveTrace {
-	if r == nil {
-		return SolveTrace{}
-	}
+// begin opens a new solver run record and returns its index.
+func (r *Recorder) begin(solver string) int {
 	r.mu.Lock()
-	idx := len(r.solves)
+	defer r.mu.Unlock()
 	r.solves = append(r.solves, solveRec{solver: solver, startNs: r.now(), endNs: -1})
-	r.mu.Unlock()
-	return SolveTrace{r: r, idx: idx}
+	return len(r.solves) - 1
 }
 
-// SolveTrace is a handle to one recorded solver run. The zero value is inert:
-// every method is a no-op, so disabled recording costs only a nil check.
-// When a bus is attached (Context.Record does this) every event is also
-// fanned out live as a Kind "solver" BusEvent.
-type SolveTrace struct {
-	r   *Recorder
-	idx int
-	// bus and solver carry the live fan-out target and its event label; bus
-	// is nil for traces begun directly on a Recorder.
-	bus    *Bus
-	solver string
+// SolverRun is the telemetry handle of one solver run (Context.StartSolver):
+// it owns the run's span, its flight-recorder record and its bus binding.
+// Solvers emit every fact once to the handle, which fans it out to the sinks
+// bound at open time. The zero value is inert: every method is a no-op, so
+// disabled telemetry costs only nil checks.
+type SolverRun struct {
+	span Span
+	r    *Recorder
+	idx  int
+	// bus is set when the bus had live subscribers at open time; req is the
+	// request ID every bus event of the run carries.
+	bus  *Bus
+	name string
+	req  string
 }
 
-// Active reports whether the trace records anywhere.
-func (t SolveTrace) Active() bool { return t.r != nil || t.bus != nil }
+// Span is the run's span, for args and for nesting callees under it.
+func (t SolverRun) Span() Span { return t.span }
 
-func (t SolveTrace) event(kind EventKind, iter int, value float64) {
+// emit records one event and publishes it: as a Kind "stage" event named
+// stage when stage is set, else as a Kind "solver" event of the run.
+func (t SolverRun) emit(kind EventKind, stage string, iter int, value float64) {
 	if t.r != nil {
 		t.r.mu.Lock()
 		rec := &t.r.solves[t.idx]
 		rec.events = append(rec.events, Event{Kind: kind, TimeNs: t.r.now(), Iter: iter, Value: value})
 		t.r.mu.Unlock()
 	}
-	if t.bus != nil {
-		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: kind.String(), Iter: iter, Value: value})
+	if t.bus == nil {
+		return
+	}
+	if stage != "" {
+		t.bus.Publish(BusEvent{Kind: "stage", Name: stage, Req: t.req, Iter: iter, Value: value})
+	} else {
+		t.bus.Publish(BusEvent{Kind: "solver", Name: t.name, Event: kind.String(), Req: t.req, Iter: iter, Value: value})
 	}
 }
 
 // Incumbent records a new best feasible objective at iteration iter.
-func (t SolveTrace) Incumbent(iter int, value float64) { t.event(EvIncumbent, iter, value) }
+func (t SolverRun) Incumbent(iter int, value float64) { t.emit(EvIncumbent, "", iter, value) }
 
 // Bound records an improved proven lower bound at iteration iter.
-func (t SolveTrace) Bound(iter int, value float64) { t.event(EvBound, iter, value) }
+func (t SolverRun) Bound(iter int, value float64) { t.emit(EvBound, "", iter, value) }
 
 // Temperature records the annealing temperature at iteration iter.
-func (t SolveTrace) Temperature(iter int, value float64) { t.event(EvTemperature, iter, value) }
+func (t SolverRun) Temperature(iter int, value float64) { t.emit(EvTemperature, "", iter, value) }
 
 // Restart marks the start of restart k at iteration iter.
-func (t SolveTrace) Restart(iter, k int) { t.event(EvRestart, iter, float64(k)) }
+func (t SolverRun) Restart(iter, k int) { t.emit(EvRestart, "", iter, float64(k)) }
+
+// Stage records the outcome of a stage of a staged solve, an incumbent or a
+// bound (kind) at stage index iter, and publishes it as a Kind "stage" event
+// named stage.
+func (t SolverRun) Stage(stage string, kind EventKind, iter int, value float64) {
+	t.emit(kind, stage, iter, value)
+}
 
 // Certify attaches the final gap certificate to the run. The last call wins.
-func (t SolveTrace) Certify(incumbent, bound float64, proven bool) {
+func (t SolverRun) Certify(incumbent, bound float64, proven bool) {
 	cert := Certificate{Incumbent: incumbent, Bound: bound, Proven: proven}
 	if t.r != nil {
 		t.r.mu.Lock()
@@ -163,12 +175,14 @@ func (t SolveTrace) Certify(incumbent, bound float64, proven bool) {
 		t.r.mu.Unlock()
 	}
 	if t.bus != nil {
-		t.bus.Publish(BusEvent{Kind: "solver", Name: t.solver, Event: "certificate", Value: incumbent, Gap: cert.Gap()})
+		t.bus.Publish(BusEvent{Kind: "solver", Name: t.name, Event: "certificate", Req: t.req, Value: incumbent, Gap: cert.Gap()})
 	}
 }
 
-// End closes the run. Ending an already-ended run is a no-op.
-func (t SolveTrace) End() {
+// End closes the run's record and span. Ending an already-ended run is a
+// no-op.
+func (t SolverRun) End() {
+	t.span.End()
 	if t.r == nil {
 		return
 	}
@@ -212,21 +226,4 @@ func (r *Recorder) Snapshot() []SolveRecord {
 		out[i] = rec
 	}
 	return out
-}
-
-// LastCertificate returns the most recent certificate recorded by any run,
-// or false when none was certified. Sweep progress lines use it to surface
-// the provable gap of the latest finished solve.
-func (r *Recorder) LastCertificate() (Certificate, bool) {
-	if r == nil {
-		return Certificate{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.solves) - 1; i >= 0; i-- {
-		if c := r.solves[i].cert; c != nil {
-			return *c, true
-		}
-	}
-	return Certificate{}, false
 }

@@ -1,10 +1,16 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 )
+
+// startRun opens a solver run recording into r alone.
+func startRun(r *Recorder, name string) SolverRun {
+	return (&Context{Recorder: r}).StartSolver(context.Background(), name)
+}
 
 // countingClock returns a deterministic monotonic clock ticking once per call.
 func countingClock() func() int64 {
@@ -17,38 +23,33 @@ func countingClock() func() int64 {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	tr := r.Begin("anneal")
-	if tr.Active() {
-		t.Fatal("nil recorder returned an active trace")
+	tr := startRun(r, "anneal")
+	if tr.r != nil || tr.bus != nil || tr.span.Active() {
+		t.Fatal("nil recorder returned an active run")
 	}
 	tr.Incumbent(1, 10)
 	tr.Bound(1, 5)
 	tr.Temperature(1, 0.5)
 	tr.Restart(0, 0)
+	tr.Stage("bounds", EvBound, 0, 5)
 	tr.Certify(10, 5, false)
 	tr.End()
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", got)
 	}
-	if _, ok := r.LastCertificate(); ok {
-		t.Fatal("nil recorder reported a certificate")
-	}
 
 	var c *Context
-	if c.Record("x").Active() {
-		t.Fatal("nil context returned an active trace")
+	if c.StartSolver(context.Background(), "x") != (SolverRun{}) {
+		t.Fatal("nil context returned an active run")
 	}
-	if (&Context{}).Record("x").Active() {
-		t.Fatal("recorder-less context returned an active trace")
-	}
-	if (&Context{}).Recording() {
-		t.Fatal("recorder-less context claims Recording")
+	if (&Context{Bus: NewBus(1)}).StartSolver(context.Background(), "x").bus != nil {
+		t.Fatal("a bus without subscribers was bound to the run")
 	}
 }
 
 func TestRecorderRecordsEvents(t *testing.T) {
 	r := NewRecorderWithClock(countingClock())
-	tr := r.Begin("anneal")
+	tr := startRun(r, "anneal")
 	tr.Incumbent(0, 20)
 	tr.Restart(0, 0)
 	tr.Incumbent(7, 15)
@@ -89,11 +90,6 @@ func TestRecorderRecordsEvents(t *testing.T) {
 	if g := rec.Certificate.Gap(); math.Abs(g-0.2) > 1e-12 {
 		t.Errorf("gap = %g, want 0.2", g)
 	}
-
-	c, ok := r.LastCertificate()
-	if !ok || c.Incumbent != 15 {
-		t.Errorf("LastCertificate = %+v, %v", c, ok)
-	}
 }
 
 func TestCertificateGap(t *testing.T) {
@@ -116,7 +112,7 @@ func TestCertificateGap(t *testing.T) {
 
 func TestRecorderEndIdempotent(t *testing.T) {
 	r := NewRecorderWithClock(countingClock())
-	tr := r.Begin("solve")
+	tr := startRun(r, "solve")
 	tr.End()
 	end := r.Snapshot()[0].EndNs
 	tr.End()
@@ -133,7 +129,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tr := r.Begin("solve")
+			tr := startRun(r, "solve")
 			for i := 0; i < 100; i++ {
 				tr.Incumbent(i, float64(100-i))
 			}
@@ -155,7 +151,7 @@ func TestRecorderConcurrent(t *testing.T) {
 
 func TestSnapshotIsACopy(t *testing.T) {
 	r := NewRecorderWithClock(countingClock())
-	tr := r.Begin("solve")
+	tr := startRun(r, "solve")
 	tr.Incumbent(0, 10)
 	tr.Certify(10, 10, true)
 	recs := r.Snapshot()

@@ -273,12 +273,17 @@ func TestFromResultEndToEnd(t *testing.T) {
 	if d.Timeline == nil || d.Utilization == nil || len(d.Solves) == 0 {
 		t.Fatalf("incomplete report: %+v", d)
 	}
-	// The recorder's final solve certificate must agree with the solver.
-	cert, ok := rec.LastCertificate()
-	if !ok {
-		t.Fatal("no certificate recorded")
+	// The report's solve certificate must agree with the solver.
+	var cert *Certificate
+	for _, s := range d.Solves {
+		if s.Solver == "solve" {
+			cert = s.Certificate
+		}
 	}
-	if int(cert.Incumbent) != res.Schedule.Makespan {
-		t.Errorf("certificate incumbent %g != makespan %d", cert.Incumbent, res.Schedule.Makespan)
+	if cert == nil {
+		t.Fatal("no solve certificate in the report")
+	}
+	if int(cert.Incumbent) != res.Schedule.Makespan || int(cert.Bound) != res.LowerBound || cert.Proven != res.Proven {
+		t.Errorf("certificate %+v != result makespan %d, bound %d, proven %v", *cert, res.Schedule.Makespan, res.LowerBound, res.Proven)
 	}
 }

@@ -65,11 +65,9 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	g := newSGS(p)
 
 	octx := cfg.Obs
-	asp := octx.StartSpan("anneal").ArgInt("iterations", cfg.Iterations).ArgInt("restarts", cfg.Restarts)
-	defer asp.End()
-	rt := octx.Record("anneal")
-	defer rt.End()
-	actx := octx.WithSpan(asp)
+	run := octx.StartSolver(ctx, "anneal")
+	defer run.End()
+	actx := octx.WithSpan(run.Span().ArgInt("iterations", cfg.Iterations).ArgInt("restarts", cfg.Restarts))
 	sgsCtr := octx.Counter(obs.MSGSSchedules)
 	accCtr := octx.Counter(obs.MAnnealAccepted)
 	rejCtr := octx.Counter(obs.MAnnealRejected)
@@ -84,7 +82,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 	if !found {
 		return Schedule{}, false
 	}
-	rt.Incumbent(0, float64(best.Makespan))
+	run.Incumbent(0, float64(best.Makespan))
 	if n <= 1 || best.Makespan < cfg.StopBelow {
 		return best, true
 	}
@@ -100,7 +98,7 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 		if actx.Tracing() {
 			rsp = actx.StartSpan(fmt.Sprintf("anneal-restart-%d", restart))
 		}
-		rt.Restart(restart*cfg.Iterations, restart)
+		run.Restart(restart*cfg.Iterations, restart)
 		list := append([]int(nil), bestList...)
 		opts := append([]int(nil), bestOpts...)
 		ok := g.decodeInto(&cur, list, opts)
@@ -174,8 +172,8 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 					bestList = append(bestList[:0], list...)
 					bestOpts = append(bestOpts[:0], opts...)
 					gi := restart*cfg.Iterations + it + 1
-					rt.Incumbent(gi, float64(best.Makespan))
-					rt.Temperature(gi, temp)
+					run.Incumbent(gi, float64(best.Makespan))
+					run.Temperature(gi, temp)
 					if best.Makespan < cfg.StopBelow {
 						stopped = true
 						break
@@ -190,6 +188,6 @@ func Anneal(ctx context.Context, p *Problem, cfg AnnealConfig) (Schedule, bool) 
 		rsp.ArgInt("best_makespan", best.Makespan)
 		rsp.End()
 	}
-	asp.ArgInt("best_makespan", best.Makespan)
+	run.Span().ArgInt("best_makespan", best.Makespan)
 	return best, true
 }

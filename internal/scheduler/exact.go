@@ -72,7 +72,8 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 	options := make([]int, n)
 	nodes := 0
 	limitHit := false
-	rt := cfg.Obs.Record("exact-bb")
+	run := cfg.Obs.StartSolver(ctx, "exact-bb")
+	run.Span().ArgInt("node_limit", cfg.NodeLimit)
 
 	var dfs func(placed, currentMakespan int)
 	dfs = func(placed, currentMakespan int) {
@@ -95,7 +96,7 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 				bestMakespan = currentMakespan
 				best = Schedule{Start: append([]int(nil), starts...), Option: append([]int(nil), options...), Makespan: currentMakespan}
 				foundBest = true
-				rt.Incumbent(nodes, float64(bestMakespan))
+				run.Incumbent(nodes, float64(bestMakespan))
 			}
 			return
 		}
@@ -170,17 +171,14 @@ func SolveExact(ctx context.Context, p *Problem, cfg ExactConfig) ExactResult {
 		}
 	}
 
-	octx := cfg.Obs
-	esp := octx.StartSpan("exact-bb").ArgInt("node_limit", cfg.NodeLimit)
 	dfs(0, 0)
-	octx.Counter(obs.MExactNodes).Add(int64(nodes))
-	esp.ArgInt("nodes", nodes).ArgInt("exhausted", boolToInt(!limitHit))
-	esp.End()
+	cfg.Obs.Counter(obs.MExactNodes).Add(int64(nodes))
+	run.Span().ArgInt("nodes", nodes).ArgInt("exhausted", boolToInt(!limitHit))
 	if foundBest && !limitHit {
 		// The tree was exhausted, so the incumbent is provably optimal.
-		rt.Certify(float64(bestMakespan), float64(bestMakespan), true)
+		run.Certify(float64(bestMakespan), float64(bestMakespan), true)
 	}
-	rt.End()
+	run.End()
 
 	return ExactResult{
 		Schedule:  best,

@@ -87,11 +87,9 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	g := newSGS(p)
 
 	octx := cfg.Obs
-	tsp := octx.StartSpan("tabu").ArgInt("iterations", cfg.Iterations)
-	defer tsp.End()
-	rt := octx.Record("tabu")
-	defer rt.End()
-	tctx := octx.WithSpan(tsp)
+	run := octx.StartSolver(ctx, "tabu")
+	defer run.End()
+	tctx := octx.WithSpan(run.Span().ArgInt("iterations", cfg.Iterations))
 	sgsCtr := octx.Counter(obs.MSGSSchedules)
 	stepCtr := octx.Counter(obs.MTabuSteps)
 
@@ -105,7 +103,7 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 	if !found {
 		return Schedule{}, false
 	}
-	rt.Incumbent(0, float64(best.Makespan))
+	run.Incumbent(0, float64(best.Makespan))
 	if n <= 1 || best.Makespan < cfg.StopBelow {
 		return best, true
 	}
@@ -170,12 +168,12 @@ func TabuSearch(ctx context.Context, p *Problem, cfg TabuConfig) (Schedule, bool
 		tabuUntil[bestMove] = it + cfg.Tenure
 		if cur.Makespan < best.Makespan {
 			best = cur.Clone()
-			rt.Incumbent(it+1, float64(best.Makespan))
+			run.Incumbent(it+1, float64(best.Makespan))
 			if best.Makespan < cfg.StopBelow {
 				break
 			}
 		}
 	}
-	tsp.ArgInt("best_makespan", best.Makespan)
+	run.Span().ArgInt("best_makespan", best.Makespan)
 	return best, true
 }

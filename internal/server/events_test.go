@@ -156,6 +156,34 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestJobEventsStreamSolverReq checks that a job's stream carries solver
+// progress: a "solver" event (an improver's incumbent or a certificate) is
+// stamped with the request ID of its sweep point, so the job filter passes it.
+func TestJobEventsStreamSolverReq(t *testing.T) {
+	leakcheck.VerifyNoLeaks(t)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	j := startSweep(t, ts.URL, manyFastSweepBody(t))
+
+	resp, err := http.Get(ts.URL + j.EventsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readSSE(t, bufio.NewScanner(resp.Body), 0, func(f sseFrame) bool {
+		return f.Event == "solver" || (f.Event == "job" && terminalJobStatus(f.Data.Status))
+	})
+	if len(frames) == 0 {
+		t.Fatal("no SSE frames before stream end")
+	}
+	last := frames[len(frames)-1]
+	if last.Event != "solver" {
+		t.Fatalf("stream ended with %q (status %q) before any solver event", last.Event, last.Data.Status)
+	}
+	if last.Data.Req != j.RequestID && !strings.HasPrefix(last.Data.Req, j.RequestID+"/") {
+		t.Errorf("solver event req %q not derived from job request %q", last.Data.Req, j.RequestID)
+	}
+}
+
 func TestJobEventsTerminalJobClosesImmediately(t *testing.T) {
 	leakcheck.VerifyNoLeaks(t)
 	s, ts := newTestServer(t, Config{})

@@ -55,23 +55,21 @@ func BenchmarkEvaluateObsFull(b *testing.B) {
 }
 
 // BenchmarkObsNoopCalls measures the raw per-call price of the disabled
-// path (span open/close, counter, gauge, histogram, a suppressed
-// structured log, and an inert flight-recorder trace).
+// path (an inert solver run handle with its span, counter, gauge,
+// histogram, a suppressed structured log, and the run's events).
 func BenchmarkObsNoopCalls(b *testing.B) {
 	var octx *obs.Context
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := octx.StartSpan("solve")
+		run := octx.StartSolver(ctx, "solve")
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
-		tr := octx.Record("solve")
-		tr.Incumbent(i, 10)
-		tr.Bound(i, 8)
-		tr.End()
-		sp.End()
+		run.Incumbent(i, 10)
+		run.Bound(i, 8)
+		run.End()
 	}
 }
 
@@ -121,15 +119,13 @@ func BenchmarkObsActiveCalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh recorder per iteration keeps recorded-event memory O(1).
 		octx.Recorder = obs.NewRecorder()
-		sp := octx.StartSpan("solve")
+		run := octx.StartSolver(ctx, "solve")
 		octx.Counter(obs.MSolves).Inc()
 		octx.Gauge(obs.MCertifiedGap).Set(0.1)
 		octx.Histogram(obs.MSweepPointSec).Observe(0.5)
 		octx.Log(ctx, slog.LevelDebug, "suppressed", "i", i)
-		tr := octx.Record("solve")
-		tr.Incumbent(i, 10)
-		tr.Bound(i, 8)
-		tr.End()
-		sp.End()
+		run.Incumbent(i, 10)
+		run.Bound(i, 8)
+		run.End()
 	}
 }
