@@ -191,7 +191,7 @@ func init() { scheduler.MILP = solveMILP }
 // failures. An Infeasible/Unbounded verdict on an instance the heuristics can
 // schedule is classified as milp.ErrNumerics (infeasible-due-to-numerics), so
 // the chain retries and degrades instead of reporting a false infeasibility.
-func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, retry bool) (scheduler.Schedule, int, bool, error) {
+func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, retry bool) (scheduler.Schedule, int, error) {
 	opts := milp.Options{
 		MaxNodes:     cfg.ExactNodeLimit,
 		GapTolerance: cfg.GapTarget,
@@ -207,20 +207,20 @@ func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, 
 	}
 	sched, sol, err := timeindexed.Solve(ctx, p, opts, warm...)
 	if err != nil {
-		return scheduler.Schedule{}, 0, false, err
+		return scheduler.Schedule{}, 0, err
 	}
 
 	switch sol.Status {
 	case milp.Optimal, milp.Feasible:
-		return sched, min(int(math.Ceil(sol.Bound-1e-6)), sched.Makespan), sol.Status == milp.Optimal, nil
+		return sched, min(int(math.Ceil(sol.Bound-1e-6)), sched.Makespan), nil
 	case milp.Infeasible, milp.Unbounded:
 		if len(warm) > 0 {
-			return scheduler.Schedule{}, 0, false, fmt.Errorf(
+			return scheduler.Schedule{}, 0, fmt.Errorf(
 				"%w: milp reported %v for an instance the heuristics schedule in %d steps",
 				milp.ErrNumerics, sol.Status, warm[0].Makespan)
 		}
-		return scheduler.Schedule{}, 0, false, scheduler.ErrInfeasible
+		return scheduler.Schedule{}, 0, scheduler.ErrInfeasible
 	default: // LimitReached without incumbent
-		return scheduler.Schedule{}, 0, false, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
+		return scheduler.Schedule{}, 0, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
 	}
 }

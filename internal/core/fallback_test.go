@@ -108,19 +108,51 @@ func TestSolveProblemDegradesToFallback(t *testing.T) {
 }
 
 func TestSolveProblemMILPPrimary(t *testing.T) {
-	p := fallbackProblem(t)
-	res, err := SolveProblem(context.Background(), p, scheduler.Config{Seed: 1, Improver: "milp"})
-	if err != nil {
-		t.Fatal(err)
+	// fig2Heur builds a fig2-family model at the horizon of its heuristic
+	// makespan, which keeps the time-indexed encoding small.
+	fig2Heur := func(m CustomModel) *scheduler.Problem {
+		inst, err := m.Build(1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heur, _ := scheduler.HeuristicSchedule(inst.Problem)
+		if inst, err = m.Build(1, heur.Makespan); err != nil {
+			t.Fatal(err)
+		}
+		return inst.Problem
 	}
-	if res.Method != "milp" {
-		t.Fatalf("method %q, want milp", res.Method)
-	}
-	if verr := res.Schedule.Validate(p); verr != nil {
-		t.Errorf("milp schedule invalid: %v", verr)
-	}
-	if res.Degraded {
-		t.Errorf("clean milp solve marked degraded")
+	for _, tc := range []struct {
+		name string
+		p    *scheduler.Problem
+		gap  float64
+	}{
+		{"valid model", fallbackProblem(t), 0},
+		// A gap tolerance above 0 lets branch and bound stop with the bound
+		// below the makespan: the result is then not proven.
+		{"fig2 gap 0.15", fig2Heur(fig2Family("fig2", [3]float64{8, 6, 5}, [3]float64{5, 3, 2})), 0.15},
+		{"fig2b gap 0.30", fig2Heur(fig2Family("fig2b", [3]float64{6, 4, 3}, [3]float64{7, 2, 4})), 0.30},
+		{"fig2c gap 0.10", fig2Heur(fig2Family("fig2c", [3]float64{7, 5, 4}, [3]float64{6, 3, 5})), 0.10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := SolveProblem(context.Background(), tc.p, scheduler.Config{Seed: 1, Improver: "milp", GapTarget: tc.gap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Method != "milp" {
+				t.Fatalf("method %q, want milp", res.Method)
+			}
+			if verr := res.Schedule.Validate(tc.p); verr != nil {
+				t.Errorf("milp schedule invalid: %v", verr)
+			}
+			if res.Degraded {
+				t.Errorf("clean milp solve marked degraded")
+			}
+			// One proof rule for every improver: proven means the lower
+			// bound meets the makespan.
+			if res.Proven != (res.LowerBound == res.Schedule.Makespan) {
+				t.Errorf("proven=%v with makespan %d and lower bound %d", res.Proven, res.Schedule.Makespan, res.LowerBound)
+			}
+		})
 	}
 }
 
@@ -207,7 +239,7 @@ func fig2Family(name string, durs ...[3]float64) CustomModel {
 
 // pinnedGridSHA256 pins every solve of TestSolveGridPinned. Change it only
 // for a deliberate change of solver output, and say which output moved.
-const pinnedGridSHA256 = "0026878e9b3486365e1240f39ee1f47b3db407bf19fe66b4039dd5a11c69d9a2"
+const pinnedGridSHA256 = "a4fa19c4d4e291fb51b956b91188983363cfdc5a6d62797ae73685bf951233f6"
 
 // TestSolveGridPinned solves a fixed grid through the fault-tolerant chain
 // and compares a hash of the results and their "solve" flight-recorder

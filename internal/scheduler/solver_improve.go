@@ -16,19 +16,20 @@ type improver interface {
 	// settings of a second attempt after a transient failure.
 	improve(ctx context.Context, p *Problem, cfg Config, warm candidate, retry bool) (outcome, error)
 	// certifies reports whether the improver certifies its own outcome, as
-	// the MILP's branch and bound does. Solve then takes its bound and proof
-	// as they are and skips the stages that serve a heuristic search: the
-	// warm start, justification, destructive lower bounding and exact.
+	// the MILP's branch and bound does. Solve then takes its bound as it is
+	// and skips the stages that serve a heuristic search: the warm start,
+	// justification, destructive lower bounding and exact.
 	certifies() bool
 }
 
 // outcome is what an improver hands back to Solve: its incumbent, a lower
-// bound it proved (0 if none), whether it proved the incumbent optimal, and
-// whether the search stopped early below Config.refineBelow.
+// bound it proved (0 if none), and whether the search stopped early below
+// Config.refineBelow. Solve calls the incumbent proven when the bound meets
+// its makespan, whichever improver found it.
 type outcome struct {
-	best            Schedule
-	bound           int
-	proven, stopped bool
+	best    Schedule
+	bound   int
+	stopped bool
 }
 
 // improvers is the improver table, read only by Improver.
@@ -100,11 +101,10 @@ func (run search) improve(ctx context.Context, p *Problem, cfg Config, warm cand
 }
 
 // MILP is the search behind the "milp" improver: the time-indexed MILP solved
-// by branch and bound. It returns the incumbent, a lower bound no larger
-// than its makespan, and whether the search proved it optimal; retry loosens
-// its tolerances. Package core sets it: the encoding lives in package
-// timeindexed, which imports this package.
-var MILP func(ctx context.Context, p *Problem, cfg Config, retry bool) (best Schedule, bound int, proven bool, err error)
+// by branch and bound. It returns the incumbent and a lower bound no larger
+// than its makespan; retry loosens its tolerances. Package core sets it: the
+// encoding lives in package timeindexed, which imports this package.
+var MILP func(ctx context.Context, p *Problem, cfg Config, retry bool) (best Schedule, bound int, err error)
 
 // timeIndexed is the "milp" improver.
 type timeIndexed struct{}
@@ -115,6 +115,6 @@ func (timeIndexed) improve(ctx context.Context, p *Problem, cfg Config, _ candid
 	if MILP == nil {
 		return outcome{}, errors.New("scheduler: the milp improver is not linked in (package core provides it)")
 	}
-	best, bound, proven, err := MILP(ctx, p, cfg, retry)
-	return outcome{best: best, bound: bound, proven: proven}, err
+	best, bound, err := MILP(ctx, p, cfg, retry)
+	return outcome{best: best, bound: bound}, err
 }
