@@ -69,6 +69,12 @@ func main() {
 	var ocli obs.CLI
 	ocli.Register(nil)
 	flag.Parse()
+	// Every run gets a correlation ID, as in hilp: the sweep's log lines,
+	// start/done events and OTLP root span carry it, and each point extends
+	// it as "<run>/p<i>", so a -follow consumer can tie every point and
+	// solver event to its sweep.
+	reqID := obs.NewRequestID()
+	ocli.RequestID = reqID
 	octx := ocli.Context()
 
 	// -follow attaches the telemetry bus and tails it from a goroutine: the
@@ -103,7 +109,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "hilp-dse: evaluating %d SoCs on %s\n", len(specs), w.Name)
 
-	ctx := context.Background()
+	ctx := obs.WithRequestID(context.Background(), reqID)
 	var injector *faults.Injector
 	if *faultSpec != "" {
 		fcfg, err := faults.ParseSpec(*faultSpec)

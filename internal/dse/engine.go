@@ -31,7 +31,8 @@ type BatchOptions struct {
 	Cache bool
 	// WarmStart orders the sweep as a walk over the spec lattice and seeds
 	// each point's search with the repaired incumbent schedule of its
-	// nearest already-solved neighbor (HILP evaluations only).
+	// nearest already-solved neighbor, starting its adaptive-resolution
+	// loop at the step that neighbor ended on (HILP evaluations only).
 	WarmStart bool
 	// Prune skips points whose resource vector is dominated by an
 	// already-solved point that met the gap target, when a certified
@@ -108,8 +109,9 @@ type BatchResult struct {
 //
 // Warm-started and pruned batches are result-equivalent to a cold sweep:
 // every solved point carries its own valid gap certificate (warm seeds only
-// change where the search starts, and a warm shortcut still certifies the
-// gap target against the instance lower bound), and every pruned point
+// change where the search starts, in schedule and resolution, and a warm
+// shortcut still certifies the gap target against the instance lower
+// bound), and every pruned point
 // carries a certified speedup bound proving it could not have entered the
 // (area, speedup) Pareto front. With Workers > 1 the warm-start donor
 // choice depends on completion order, so solved makespans may differ across
@@ -343,6 +345,9 @@ type solvedRec struct {
 	// dominance donor.
 	gapMet bool
 	hint   *scheduler.WarmStart
+	// stepSec is the resolution the point's adaptive loop ended at; a point
+	// warm-started from hint opens its own loop there.
+	stepSec float64
 }
 
 // pointKey is the canonical-model hash of point i: the workload, profile,
@@ -437,13 +442,14 @@ func (r *batchRun) runPoint(i int) {
 	}
 
 	var hint *scheduler.WarmStart
+	var hintStep float64
 	if r.opts.WarmStart {
 		r.mu.Lock()
-		hint = r.nearestHint(i)
+		hint, hintStep = r.nearestHint(i)
 		r.mu.Unlock()
 	}
 
-	p, donorOut := r.evalOne(i, pid, hint)
+	p, donorOut, donorStep := r.evalOne(i, pid, hint, hintStep)
 	p.RequestID = pid
 	r.points[i] = p
 	if r.opts.Cache {
@@ -462,7 +468,7 @@ func (r *batchRun) runPoint(i int) {
 	}
 	r.solved = append(r.solved, solvedRec{
 		idx: i, vec: r.vecs[i], area: p.AreaMM2, speedup: p.Speedup,
-		clean: clean, gapMet: gapMet, hint: donorOut,
+		clean: clean, gapMet: gapMet, hint: donorOut, stepSec: donorStep,
 	})
 	r.mu.Unlock()
 
@@ -484,9 +490,10 @@ func (r *batchRun) runPoint(i int) {
 
 // evalOne runs the evaluation for point i with panic isolation and
 // per-point fault keying, mirroring the classic sweep worker. For HILP
-// batches it threads the warm hint into the solver and extracts the solved
-// schedule as a donor hint for later points.
-func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart) (p Point, donor *scheduler.WarmStart) {
+// batches it threads the warm hint into the solver, starting the adaptive
+// loop at the hint's resolution hintStep, and extracts the solved schedule
+// and its final resolution as a donor hint for later points.
+func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart, hintStep float64) (p Point, donor *scheduler.WarmStart, donorStep float64) {
 	pctx := faults.WithKey(r.ctx, uint64(i))
 	pctx = obs.WithRequestID(pctx, pid)
 	defer func() {
@@ -497,27 +504,33 @@ func (r *batchRun) evalOne(i int, pid string, hint *scheduler.WarmStart) (p Poin
 				"point", i, "spec", r.specs[i].Label(), "error", pe.Error(), "stack", string(pe.Stack))
 			p = newPoint(r.specs[i])
 			p.Err = pe
-			donor = nil
+			donor, donorStep = nil, 0
 		}
 	}()
 	h := r.opts.hilp
 	if h == nil {
-		return r.eval(pctx, r.specs[i]), nil
+		return r.eval(pctx, r.specs[i]), nil, 0
 	}
 	cfg := h.cfg
+	profile := h.profile
 	if hint != nil {
 		cfg.Warm = hint
+		// The donor already found the rung its chain ended on, and its
+		// nearest lattice neighbour usually ends on the same one: start
+		// there instead of walking the coarse rungs again. The §III-D rules
+		// still refine or coarsen from it. pointKey keeps the batch profile.
+		profile.InitialStepSec = hintStep
 	} else if r.opts.WarmStart {
 		// No donor yet: a zero-value hint still enables refinement
 		// self-warming inside the adaptive-resolution loop.
 		cfg.Warm = &scheduler.WarmStart{}
 	}
-	res, err := core.Solve(pctx, h.w, r.specs[i], h.profile, cfg)
+	res, err := core.Solve(pctx, h.w, r.specs[i], profile, cfg)
 	if p = pointOf(r.specs[i], res, err); err != nil {
-		return p, nil
+		return p, nil, 0
 	}
 	p.WarmStarted = hint != nil
-	return p, res.WarmHint()
+	return p, res.WarmHint(), res.StepSec
 }
 
 // pruneCheck decides, under r.mu, whether point i can be skipped with a
@@ -573,9 +586,11 @@ func (r *batchRun) pruneCheck(i int) (Point, bool) {
 }
 
 // nearestHint returns the warm-start hint of the solved point closest to i
-// on the spec lattice, or nil when none is available yet.
-func (r *batchRun) nearestHint(i int) *scheduler.WarmStart {
+// on the spec lattice and the resolution that point ended at, or nil when
+// none is available yet.
+func (r *batchRun) nearestHint(i int) (*scheduler.WarmStart, float64) {
 	var best *scheduler.WarmStart
+	var bestStep float64
 	bestD := 0
 	for _, s := range r.solved {
 		if s.hint == nil {
@@ -583,10 +598,10 @@ func (r *batchRun) nearestHint(i int) *scheduler.WarmStart {
 		}
 		d := latticeDist(s.vec, r.vecs[i])
 		if best == nil || d < bestD {
-			best, bestD = s.hint, d
+			best, bestStep, bestD = s.hint, s.stepSec, d
 		}
 	}
-	return best
+	return best, bestStep
 }
 
 // pointID mirrors the classic sweep's correlation-ID scheme: request-scoped

@@ -135,9 +135,11 @@ func WithCache(on bool) Option {
 // WithWarmStart enables (or disables) neighbor warm starts: the sweep is
 // ordered as a walk over the spec lattice and each point's search is seeded
 // with the repaired incumbent schedule of its nearest already-solved
-// neighbor. Warm-started solves keep their gap certificates — the seed only
-// changes where the search starts. HILP baseline only; defaults to on.
-// Solve ignores it.
+// neighbor, and its adaptive-resolution loop starts at the step that
+// neighbor ended on. Warm-started solves keep their gap certificates — the
+// seed only changes where the search starts, though a point may end one
+// resolution finer than a cold solve would. HILP baseline only; defaults to
+// on. Solve ignores it.
 func WithWarmStart(on bool) Option {
 	return func(o *solveOptions) { o.warm = on }
 }
