@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 
 	"hilp/internal/faults"
 	"hilp/internal/milp"
 	"hilp/internal/obs"
 	"hilp/internal/scheduler"
-	"hilp/internal/timeindexed"
 )
 
 // ErrBadResult flags a solver return that failed the trust-boundary re-check:
@@ -29,13 +27,10 @@ const (
 	ReasonMILPGave = "milp-incomplete"
 )
 
-// errMILPIncomplete marks a MILP solve that ended without a usable incumbent
-// (node/time limits) even though the instance is heuristically feasible.
-var errMILPIncomplete = errors.New("core: milp search ended without an incumbent")
-
 // Transient reports whether err is worth retrying: solver panics, numerical
-// failures, injected faults, and corrupted results. Validation errors,
-// genuine infeasibility, and context expiry are final.
+// failures, MILP searches that end without an incumbent, injected faults,
+// and corrupted results. Validation errors, genuine infeasibility, and
+// context expiry are final.
 func Transient(err error) bool { return reasonOf(err) != "" }
 
 // reasonOf classifies a transient error for Result.FallbackReason; it is
@@ -51,7 +46,7 @@ func reasonOf(err error) string {
 		return ReasonInjected
 	case errors.Is(err, ErrBadResult):
 		return ReasonBadOut
-	case errors.Is(err, errMILPIncomplete):
+	case errors.Is(err, scheduler.ErrMILPIncomplete):
 		return ReasonMILPGave
 	}
 	return ""
@@ -180,47 +175,4 @@ func heuristicFallback(p *scheduler.Problem) (scheduler.Result, bool) {
 		Proven:     s.Makespan == lb,
 		Method:     "heuristic-fallback",
 	}, true
-}
-
-func init() { scheduler.MILP = solveMILP }
-
-// solveMILP is the search of the "milp" improver (scheduler.MILP): the
-// time-indexed 0/1 encoding solved with the in-repo branch and bound,
-// warm-started from the heuristic portfolio. A retry loosens the integrality
-// tolerance and gap target, the standard response to numerics-induced
-// failures. An Infeasible/Unbounded verdict on an instance the heuristics can
-// schedule is classified as milp.ErrNumerics (infeasible-due-to-numerics), so
-// the chain retries and degrades instead of reporting a false infeasibility.
-func solveMILP(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config, retry bool) (scheduler.Schedule, int, error) {
-	opts := milp.Options{
-		MaxNodes:     cfg.ExactNodeLimit,
-		GapTolerance: cfg.GapTarget,
-		Obs:          cfg.Obs,
-	}
-	if retry {
-		opts.IntTol = 1e-5
-		opts.GapTolerance = math.Max(1.5*cfg.GapTarget, 0.02)
-	}
-	var warm []scheduler.Schedule
-	if h, ok := scheduler.HeuristicSchedule(p); ok {
-		warm = append(warm, h)
-	}
-	sched, sol, err := timeindexed.Solve(ctx, p, opts, warm...)
-	if err != nil {
-		return scheduler.Schedule{}, 0, err
-	}
-
-	switch sol.Status {
-	case milp.Optimal, milp.Feasible:
-		return sched, min(int(math.Ceil(sol.Bound-1e-6)), sched.Makespan), nil
-	case milp.Infeasible, milp.Unbounded:
-		if len(warm) > 0 {
-			return scheduler.Schedule{}, 0, fmt.Errorf(
-				"%w: milp reported %v for an instance the heuristics schedule in %d steps",
-				milp.ErrNumerics, sol.Status, warm[0].Makespan)
-		}
-		return scheduler.Schedule{}, 0, scheduler.ErrInfeasible
-	default: // LimitReached without incumbent
-		return scheduler.Schedule{}, 0, fmt.Errorf("%w (status %v)", errMILPIncomplete, sol.Status)
-	}
 }

@@ -184,7 +184,7 @@ func TestTransientClassification(t *testing.T) {
 		{faults.ErrInjected, true},
 		{faults.ErrTimeout, true},
 		{ErrBadResult, true},
-		{errMILPIncomplete, true},
+		{scheduler.ErrMILPIncomplete, true},
 		{scheduler.ErrInfeasible, false},
 		{context.Canceled, false},
 		{BadField("x", CodeNaN, "is NaN"), false},

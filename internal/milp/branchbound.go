@@ -16,8 +16,8 @@ type Options struct {
 	MaxNodes int
 	// TimeLimit bounds wall-clock time; 0 means no limit. A ctx deadline
 	// passed to Solve composes with it: the earlier of the two wins, and the
-	// budget is enforced inside LP node solves (per pivot batch), not only
-	// between nodes.
+	// budget is enforced inside LP node solves (before every pivot), not
+	// only between nodes.
 	TimeLimit time.Duration
 	// GapTolerance stops the search once the relative gap between incumbent
 	// and best bound drops below it. 0 means prove optimality (up to the
@@ -55,8 +55,9 @@ var errStopped = errors.New("milp: time budget exhausted")
 // expired TimeLimit would, returning the incumbent found so far (Status
 // Feasible or LimitReached) with the proven bound — work is never discarded.
 // The budget is checked between nodes and, via a stop hook threaded into the
-// simplex, every few hundred pivots inside a node, so a pathological LP
-// relaxation cannot blow past the deadline.
+// simplex, before every pivot inside a node, so a pathological LP relaxation
+// cannot blow past the deadline. A problem whose dense tableau would exceed
+// the size cap is refused with ErrTooLarge, which also bounds one pivot.
 func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	opts = opts.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -72,11 +73,8 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
 		defer cancel()
 	}
-	stop := func() bool {
-		// Callers amortize this over a pivot batch, so polling ctx directly
-		// is cheap enough.
-		return ctx.Err() != nil
-	}
+	// One ctx.Err() costs far less than one pivot over the tableau.
+	stop := func() bool { return ctx.Err() != nil }
 
 	octx := opts.Obs
 	if p.NumIntegers() == 0 {

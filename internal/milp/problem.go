@@ -5,8 +5,9 @@
 // The package exists because HILP's JSSP formulation is an integer linear
 // program and no maintained ILP solver bindings exist for Go; it plays the
 // role MiniZinc + OR-Tools play in the original paper. It is tuned for the
-// moderately sized time-indexed scheduling encodings produced by package
-// timeindexed rather than for industrial-scale LPs.
+// moderately sized time-indexed scheduling encodings that package scheduler's
+// "milp" improver builds rather than for industrial-scale LPs; a problem
+// whose dense tableau would exceed a fixed size cap is refused (ErrTooLarge).
 package milp
 
 import (

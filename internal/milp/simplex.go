@@ -33,6 +33,16 @@ var ErrIterationLimit = fmt.Errorf("%w: simplex iteration limit exceeded", ErrNu
 // rule fails to break — floating-point cycling. It wraps ErrNumerics.
 var ErrDegenerate = fmt.Errorf("%w: degenerate pivot stall", ErrNumerics)
 
+// ErrTooLarge is returned when the dense tableau of a problem would exceed
+// maxTableauCells. The problem is not solved: the cap keeps one pivot, and so
+// the work between two polls of the solve budget, bounded, and an oversized
+// encoding from exhausting memory.
+var ErrTooLarge = errors.New("milp: dense tableau exceeds the size cap")
+
+// maxTableauCells caps rows x (columns+1) of the dense tableau: 1<<24
+// float64 cells, 128 MiB.
+const maxTableauCells = 1 << 24
+
 // degenStreakLimit is the number of consecutive zero-progress pivots treated
 // as a stall. It exceeds blandAfter so Bland's rule gets a full chance to
 // break ties before the solve is declared numerically stuck.
@@ -40,7 +50,7 @@ const degenStreakLimit = blandAfter + 10000
 
 // SolveLP solves the linear relaxation of p (integrality dropped) and returns
 // the solution. The returned Solution has Status Optimal, Infeasible, or
-// Unbounded. Cancelling ctx aborts the solve between pivot batches; the
+// Unbounded. Cancelling ctx aborts the solve between pivots; the
 // interrupted solve returns Status LimitReached with the trivial bound, never
 // an error, matching Solve's anytime semantics.
 func SolveLP(ctx context.Context, p *Problem) (Solution, error) {
@@ -52,8 +62,8 @@ func SolveLP(ctx context.Context, p *Problem) (Solution, error) {
 	return sol, err
 }
 
-// solveLPStop is SolveLP with an optional stop hook, polled every
-// stopCheckEvery pivots; a true return aborts the solve with errStopped.
+// solveLPStop is SolveLP with an optional stop hook, polled before every
+// pivot; a true return aborts the solve with errStopped.
 func solveLPStop(p *Problem, stop func() bool) (Solution, error) {
 	lower := make([]float64, len(p.Vars))
 	upper := make([]float64, len(p.Vars))
@@ -66,9 +76,9 @@ func solveLPStop(p *Problem, stop func() bool) (Solution, error) {
 
 // solveLPWithBounds solves the LP relaxation with the given variable bounds
 // overriding those in p. Branch and bound uses this to explore subproblems
-// without mutating the problem. A non-nil stop hook is polled every
-// stopCheckEvery pivots so an expiring solve budget interrupts even a
-// pathological LP mid-node; the solve then returns errStopped.
+// without mutating the problem. A non-nil stop hook is polled before every
+// pivot so an expiring solve budget interrupts even a pathological LP
+// mid-node; the solve then returns errStopped.
 func solveLPWithBounds(p *Problem, lower, upper []float64, stop func() bool) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -139,16 +149,12 @@ type tableau struct {
 	realCost      []float64 // phase-2 costs per column
 	phase2        bool
 	iters         int
-	stop          func() bool // optional solve-budget hook, polled per pivot batch
+	stop          func() bool // optional solve-budget hook, polled per pivot
 }
 
-// stopCheckEvery is how many pivots pass between stop-hook polls. A pivot
-// touches the full tableau, so a few hundred pivots already dwarf the cost of
-// one clock read while keeping in-node interrupt latency small.
-const stopCheckEvery = 256
-
 // newTableau builds the standard-form tableau for p with variables shifted by
-// their lower bounds and finite upper bounds added as explicit rows.
+// their lower bounds and finite upper bounds added as explicit rows. A
+// tableau over maxTableauCells is refused with ErrTooLarge.
 func newTableau(p *Problem, lower, upper []float64) (*tableau, error) {
 	n := len(p.Vars)
 
@@ -204,6 +210,9 @@ func newTableau(p *Problem, lower, upper []float64) (*tableau, error) {
 	}
 
 	total := n + numSlack + numArt
+	if m*(total+1) > maxTableauCells {
+		return nil, fmt.Errorf("%w: %d rows x %d columns", ErrTooLarge, m, total+1)
+	}
 	t := &tableau{
 		p:             p,
 		m:             m,
@@ -311,7 +320,7 @@ func (t *tableau) iterate() error {
 		if it > maxIters {
 			return ErrIterationLimit
 		}
-		if t.stop != nil && it%stopCheckEvery == 0 && t.stop() {
+		if t.stop != nil && t.stop() {
 			return errStopped
 		}
 		bland := t.iters >= blandAfter

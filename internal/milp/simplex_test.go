@@ -2,6 +2,7 @@ package milp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -232,5 +233,26 @@ func TestSolveLPFeasibilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTableauSizeCap checks that a problem whose dense tableau is just over
+// maxTableauCells is refused with ErrTooLarge instead of being allocated:
+// 2897 binaries give 2897 upper-bound rows and 2897+2897+1 columns, 16.79M
+// cells against the cap's 16.78M. The refusal is not a numerics failure.
+func TestTableauSizeCap(t *testing.T) {
+	p := NewProblem()
+	for i := 0; i < 2897; i++ {
+		p.AddBinary("x", 1)
+	}
+	if _, err := SolveLP(context.Background(), p); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("SolveLP: err = %v, want ErrTooLarge", err)
+	}
+	_, err := Solve(context.Background(), p, Options{})
+	if !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Solve: err = %v, want ErrTooLarge", err)
+	}
+	if errors.Is(err, ErrNumerics) {
+		t.Error("ErrTooLarge wraps ErrNumerics")
 	}
 }

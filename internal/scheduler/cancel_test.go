@@ -164,3 +164,50 @@ func TestDestructiveLowerBoundCancelStillValid(t *testing.T) {
 		t.Errorf("bound %d exceeds a feasible makespan %d", lb, res.Schedule.Makespan)
 	}
 }
+
+// chainProblem is apps chains of phases tasks on three clusters under a
+// power cap, each task with a CPU, GPU and DSA option, over horizon steps.
+func chainProblem(apps, phases, horizon int) *Problem {
+	var tasks []Task
+	for a := 0; a < apps; a++ {
+		for ph := 0; ph < phases; ph++ {
+			var deps []Dep
+			if ph > 0 {
+				deps = []Dep{{Task: len(tasks) - 1}}
+			}
+			d := 1 + (a*7+ph*3)%5
+			tasks = append(tasks, Task{Name: "t", App: a, Phase: ph, Deps: deps, Options: []Option{
+				{Cluster: 0, Duration: 2 * d, Demand: []float64{1}},
+				{Cluster: 1, Duration: d, Demand: []float64{3}},
+				{Cluster: 2, Duration: d + 1, Demand: []float64{2}},
+			}})
+		}
+	}
+	return &Problem{
+		Tasks:        tasks,
+		NumClusters:  3,
+		ClusterGroup: []int{0, 1, 2},
+		Resources:    []Resource{{Name: "power", Capacity: 4}},
+		Horizon:      horizon,
+	}
+}
+
+// TestLPBoundDeadline pins the stop hook the simplex polls before every
+// pivot. The instance encodes to 1562 variables, a dense tableau of about 6M
+// cells (under the milp package's 16.8M cap), and its LP relaxation takes
+// about 1 s and 1059 pivots uncut on one Intel Xeon core, so a 100 ms
+// deadline lands mid-pivots (the encoding and the tableau are built unpolled
+// first: about 15 ms there, 50 ms under the race detector). The bound must
+// return within 100 ms of the deadline: one pivot at most runs past it,
+// about 1 ms there. Polling every 256 pivots overran it by about 170 ms.
+func TestLPBoundDeadline(t *testing.T) {
+	const deadline, slack = 100 * time.Millisecond, 100 * time.Millisecond
+	p := chainProblem(4, 4, 40)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := lpBound(ctx, p)
+	if elapsed := time.Since(start); elapsed > deadline+slack {
+		t.Errorf("lpBound returned after %v (err %v), want within %v of a %v deadline", elapsed, err, slack, deadline)
+	}
+}

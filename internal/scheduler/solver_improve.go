@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -98,23 +97,4 @@ func (run search) improve(ctx context.Context, p *Problem, cfg Config, warm cand
 		return outcome{}, fmt.Errorf("%w: a task's every option exceeds a resource capacity", ErrInfeasible)
 	}
 	return outcome{best: best, stopped: best.Makespan < cfg.refineBelow}, nil
-}
-
-// MILP is the search behind the "milp" improver: the time-indexed MILP solved
-// by branch and bound. It returns the incumbent and a lower bound no larger
-// than its makespan; retry loosens its tolerances. Package core sets it: the
-// encoding lives in package timeindexed, which imports this package.
-var MILP func(ctx context.Context, p *Problem, cfg Config, retry bool) (best Schedule, bound int, err error)
-
-// timeIndexed is the "milp" improver.
-type timeIndexed struct{}
-
-func (timeIndexed) certifies() bool { return true }
-
-func (timeIndexed) improve(ctx context.Context, p *Problem, cfg Config, _ candidate, retry bool) (outcome, error) {
-	if MILP == nil {
-		return outcome{}, errors.New("scheduler: the milp improver is not linked in (package core provides it)")
-	}
-	best, bound, err := MILP(ctx, p, cfg, retry)
-	return outcome{best: best, bound: bound}, err
 }

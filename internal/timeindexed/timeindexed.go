@@ -1,273 +1,12 @@
-// Package timeindexed encodes a scheduling instance as a time-indexed 0/1
-// integer linear program, the classic JSSP-as-ILP formulation the paper
-// builds on (its references [36] and [68]): one binary per (task, option,
-// start step), assignment and precedence rows, and one unary/resource row per
-// time step (the paper's Eqs. 1-4 and 6-8).
-//
-// The encoding is solved with the in-repo milp solver. It is exact but grows
-// with the time horizon, so HILP uses it for small instances and for LP
-// relaxation lower bounds, while larger instances go through the scheduler
-// package's search.
+// Package timeindexed keeps the old names of the time-indexed MILP encoding,
+// which lives in package scheduler next to the "milp" improver that solves
+// it. Nothing else remains here.
 package timeindexed
 
-import (
-	"context"
-	"fmt"
-	"math"
+import "hilp/internal/scheduler"
 
-	"hilp/internal/milp"
-	"hilp/internal/scheduler"
-)
+// Encoding is scheduler.MILPEncoding.
+type Encoding = scheduler.MILPEncoding
 
-// Encoding ties the ILP variables back to the scheduling instance.
-type Encoding struct {
-	Problem *milp.Problem
-	// varOf[i] maps task i to its (option, start) variable grid.
-	vars []map[[2]int]int
-	// MakespanVar is the index of the makespan variable.
-	MakespanVar int
-	src         *scheduler.Problem
-}
-
-// Build constructs the time-indexed encoding of p over its hard horizon.
-// It returns an error when some task cannot fit inside the horizon.
-func Build(p *scheduler.Problem) (*Encoding, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	horizon := p.Horizon
-	if horizon <= 0 {
-		return nil, fmt.Errorf("timeindexed: horizon %d, want > 0", horizon)
-	}
-
-	// Earliest starts from the dependency critical path.
-	est := earliestStarts(p)
-
-	m := milp.NewProblem()
-	enc := &Encoding{Problem: m, vars: make([]map[[2]int]int, len(p.Tasks)), src: p}
-
-	enc.MakespanVar = m.AddVariable("makespan", 0, float64(horizon), 1)
-
-	for i := range p.Tasks {
-		enc.vars[i] = make(map[[2]int]int)
-		t := &p.Tasks[i]
-		any := false
-		for oi, o := range t.Options {
-			for s := est[i]; s+o.Duration <= horizon; s++ {
-				v := m.AddBinary(fmt.Sprintf("x_t%d_o%d_s%d", i, oi, s), 0)
-				enc.vars[i][[2]int{oi, s}] = v
-				any = true
-			}
-		}
-		if !any {
-			return nil, fmt.Errorf("timeindexed: task %d (%s) cannot fit in horizon %d", i, t.Name, horizon)
-		}
-	}
-
-	// Assignment: each task starts exactly once.
-	for i := range p.Tasks {
-		row := map[int]float64{}
-		for _, v := range enc.vars[i] {
-			row[v] = 1
-		}
-		m.AddConstraint(fmt.Sprintf("assign_t%d", i), row, milp.EQ, 1)
-	}
-
-	// Makespan: M >= sum (s + dur) x for each task.
-	for i := range p.Tasks {
-		row := map[int]float64{enc.MakespanVar: -1}
-		for key, v := range enc.vars[i] {
-			oi, s := key[0], key[1]
-			row[v] = float64(s + p.Tasks[i].Options[oi].Duration)
-		}
-		m.AddConstraint(fmt.Sprintf("makespan_t%d", i), row, milp.LE, 0)
-	}
-
-	// Precedence: successor's start expression >= predecessor's
-	// finish/start expression plus lag.
-	for i := range p.Tasks {
-		for di, d := range p.Tasks[i].Deps {
-			row := map[int]float64{}
-			for key, v := range enc.vars[i] {
-				row[v] += float64(key[1]) // start of successor
-			}
-			for key, v := range enc.vars[d.Task] {
-				oi, s := key[0], key[1]
-				switch d.Kind {
-				case scheduler.FinishStart:
-					row[v] -= float64(s + p.Tasks[d.Task].Options[oi].Duration)
-				case scheduler.StartStart:
-					row[v] -= float64(s)
-				}
-			}
-			m.AddConstraint(fmt.Sprintf("prec_t%d_d%d", i, di), row, milp.GE, float64(d.Lag))
-		}
-	}
-
-	// Group unary (non-interference) per time step.
-	numGroups := p.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		for step := 0; step < horizon; step++ {
-			row := map[int]float64{}
-			for i := range p.Tasks {
-				for key, v := range enc.vars[i] {
-					oi, s := key[0], key[1]
-					o := &p.Tasks[i].Options[oi]
-					if p.ClusterGroup[o.Cluster] != g {
-						continue
-					}
-					if s <= step && step < s+o.Duration {
-						row[v] = 1
-					}
-				}
-			}
-			if len(row) > 1 {
-				m.AddConstraint(fmt.Sprintf("unary_g%d_s%d", g, step), row, milp.LE, 1)
-			}
-		}
-	}
-
-	// Cumulative resources per time step (Eqs. 6-8).
-	for r, res := range p.Resources {
-		if math.IsInf(res.Capacity, 1) {
-			continue
-		}
-		for step := 0; step < horizon; step++ {
-			row := map[int]float64{}
-			for i := range p.Tasks {
-				for key, v := range enc.vars[i] {
-					oi, s := key[0], key[1]
-					o := &p.Tasks[i].Options[oi]
-					if o.Demand[r] == 0 {
-						continue
-					}
-					if s <= step && step < s+o.Duration {
-						row[v] = o.Demand[r]
-					}
-				}
-			}
-			if len(row) > 0 {
-				m.AddConstraint(fmt.Sprintf("res_%s_s%d", res.Name, step), row, milp.LE, res.Capacity)
-			}
-		}
-	}
-
-	return enc, nil
-}
-
-// earliestStarts computes per-task earliest starts from min durations.
-func earliestStarts(p *scheduler.Problem) []int {
-	est := make([]int, len(p.Tasks))
-	for _, i := range p.TopoOrder() {
-		ready := 0
-		for _, d := range p.Tasks[i].Deps {
-			var e int
-			switch d.Kind {
-			case scheduler.FinishStart:
-				e = est[d.Task] + p.Tasks[d.Task].MinDuration() + d.Lag
-			case scheduler.StartStart:
-				e = est[d.Task] + d.Lag
-			}
-			if e > ready {
-				ready = e
-			}
-		}
-		est[i] = ready
-	}
-	return est
-}
-
-// Decode converts an integer solution back into a schedule.
-func (e *Encoding) Decode(sol milp.Solution) (scheduler.Schedule, error) {
-	if sol.X == nil {
-		return scheduler.Schedule{}, fmt.Errorf("timeindexed: solution has no variable values (status %v)", sol.Status)
-	}
-	p := e.src
-	sched := scheduler.Schedule{Start: make([]int, len(p.Tasks)), Option: make([]int, len(p.Tasks))}
-	for i := range p.Tasks {
-		found := false
-		for key, v := range e.vars[i] {
-			if sol.X[v] > 0.5 {
-				sched.Option[i] = key[0]
-				sched.Start[i] = key[1]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return scheduler.Schedule{}, fmt.Errorf("timeindexed: no start chosen for task %d (%s)", i, p.Tasks[i].Name)
-		}
-	}
-	sched.ComputeMakespan(p)
-	return sched, nil
-}
-
-// WarmStart translates a feasible schedule into a variable assignment for
-// the encoding, suitable for milp.Options.WarmStart. It returns an error if
-// the schedule references a start time outside the encoded horizon.
-func (e *Encoding) WarmStart(s scheduler.Schedule) ([]float64, error) {
-	x := make([]float64, len(e.Problem.Vars))
-	x[e.MakespanVar] = float64(s.Makespan)
-	for i := range e.src.Tasks {
-		v, ok := e.vars[i][[2]int{s.Option[i], s.Start[i]}]
-		if !ok {
-			return nil, fmt.Errorf("timeindexed: task %d start %d (option %d) not encoded; horizon too small?",
-				i, s.Start[i], s.Option[i])
-		}
-		x[v] = 1
-	}
-	return x, nil
-}
-
-// Solve builds the encoding, runs branch and bound, and decodes the result.
-// The returned milp.Solution carries the proven bound and node statistics.
-// When warmStart is non-nil, the search is primed with that schedule. The
-// context bounds the branch-and-bound search (see milp.Solve).
-func Solve(ctx context.Context, p *scheduler.Problem, opts milp.Options, warmStart ...scheduler.Schedule) (scheduler.Schedule, milp.Solution, error) {
-	enc, err := Build(p)
-	if err != nil {
-		return scheduler.Schedule{}, milp.Solution{}, err
-	}
-	if len(warmStart) > 0 {
-		if x, werr := enc.WarmStart(warmStart[0]); werr == nil {
-			opts.WarmStart = x
-		}
-	}
-	sol, err := milp.Solve(ctx, enc.Problem, opts)
-	if err != nil {
-		return scheduler.Schedule{}, milp.Solution{}, err
-	}
-	if sol.Status != milp.Optimal && sol.Status != milp.Feasible {
-		return scheduler.Schedule{}, sol, nil
-	}
-	sched, err := enc.Decode(sol)
-	if err != nil {
-		return scheduler.Schedule{}, sol, err
-	}
-	if err := sched.Validate(p); err != nil {
-		return scheduler.Schedule{}, sol, fmt.Errorf("timeindexed: decoded schedule invalid: %w", err)
-	}
-	return sched, sol, nil
-}
-
-// LPBound returns a lower bound on the optimal makespan from the LP
-// relaxation of the time-indexed encoding (rounded up: makespans are
-// integral). Cancelling ctx aborts the relaxation solve.
-func LPBound(ctx context.Context, p *scheduler.Problem) (int, error) {
-	enc, err := Build(p)
-	if err != nil {
-		return 0, err
-	}
-	sol, err := milp.SolveLP(ctx, enc.Problem)
-	if err != nil {
-		return 0, err
-	}
-	switch sol.Status {
-	case milp.Optimal:
-		return int(math.Ceil(sol.Objective - 1e-6)), nil
-	case milp.Infeasible:
-		return 0, fmt.Errorf("timeindexed: LP relaxation infeasible (horizon too small?)")
-	default:
-		return 0, fmt.Errorf("timeindexed: LP relaxation status %v", sol.Status)
-	}
-}
+// Build is scheduler.EncodeMILP.
+var Build = scheduler.EncodeMILP

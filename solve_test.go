@@ -147,3 +147,24 @@ func TestSweepWithOptions(t *testing.T) {
 		t.Errorf("GPU SoC %g not faster than CPU-only %g", points[1].Speedup, points[0].Speedup)
 	}
 }
+
+// TestSolveMILPOverCapDegrades runs a Sec. VI design point, the Default
+// workload on (c4,g16), through the "milp" improver. Its time-indexed
+// encoding (27k binaries at horizon 200) would need a dense simplex tableau
+// of about 13 GB. The milp package refuses it, and the fallback chain
+// degrades to the heuristic scheduler with reason milp-incomplete, as it does
+// at a node limit, instead of exhausting memory.
+func TestSolveMILPOverCapDegrades(t *testing.T) {
+	res, err := hilp.Solve(context.Background(), hilp.DefaultWorkload(), hilp.SoC{CPUCores: 4, GPUSMs: 16},
+		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Improver: "milp"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.FallbackReason != "milp-incomplete" || res.Sched.Method != "heuristic-fallback" {
+		t.Errorf("degraded=%v reason=%q method=%q, want a heuristic-fallback degraded with milp-incomplete",
+			res.Degraded, res.FallbackReason, res.Sched.Method)
+	}
+	if err := res.Sched.Schedule.Validate(res.Instance.Problem); err != nil {
+		t.Fatal(err)
+	}
+}
