@@ -66,40 +66,17 @@ func MultiAmdahl(w rodinia.Workload, spec soc.Spec) (MAResult, error) {
 		res.MakespanSec += app.SetupSec()
 
 		// Compute: fastest feasible unit.
-		bestSec := math.Inf(1)
-		bestLabel := ""
-		consider := func(sec, watts, bw float64, label string) {
-			if sec < bestSec && powerOK(watts, bw) {
-				bestSec = sec
-				bestLabel = label
+		best := soc.Unit{Sec: math.Inf(1)}
+		spec.ComputeUnits(b, func(u soc.Unit) {
+			if u.Sec < best.Sec && powerOK(u.Watts, u.GBs) {
+				best = u
 			}
-		}
-		consider(soc.CPUTimeSec(b, 1), soc.CPUCoreWatts, soc.CPUBandwidthGBs(b, 1), "cpu")
-		if spec.CPUCores > 1 {
-			consider(soc.CPUTimeSec(b, spec.CPUCores),
-				soc.CPUCoreWatts*float64(spec.CPUCores),
-				soc.CPUBandwidthGBs(b, spec.CPUCores),
-				fmt.Sprintf("cpu-x%d", spec.CPUCores))
-		}
-		if spec.GPUSMs > 0 {
-			for _, f := range spec.GPUFrequenciesMHz {
-				consider(soc.GPUTimeSec(b, spec.GPUSMs, f),
-					soc.GPUPowerWatts(spec.GPUSMs, f),
-					soc.GPUBandwidthGBs(b, spec.GPUSMs, f),
-					fmt.Sprintf("gpu@%gMHz", f))
-			}
-		}
-		if d, ok := spec.DSAFor(b.Abbrev); ok {
-			consider(soc.DSATimeSec(b, d.PEs, spec.DSAAdvantage),
-				soc.DSAPowerWatts(d.PEs, spec.DSAAdvantage),
-				soc.DSABandwidthGBs(b, d.PEs, spec.DSAAdvantage),
-				"dsa-"+b.Abbrev)
-		}
-		if math.IsInf(bestSec, 1) {
+		})
+		if math.IsInf(best.Sec, 1) {
 			return MAResult{}, fmt.Errorf("baselines: no feasible unit for %s.compute under the constraints", b.Abbrev)
 		}
-		res.Choices = append(res.Choices, MAChoice{Task: b.Abbrev + ".compute", Label: bestLabel, Sec: bestSec})
-		res.MakespanSec += bestSec
+		res.Choices = append(res.Choices, MAChoice{Task: b.Abbrev + ".compute", Label: best.Label(), Sec: best.Sec})
+		res.MakespanSec += best.Sec
 
 		// Teardown: one CPU core.
 		res.Choices = append(res.Choices, MAChoice{Task: b.Abbrev + ".teardown", Label: "cpu", Sec: app.TeardownSec()})

@@ -33,13 +33,20 @@ func AnalyticLowerBoundSec(w rodinia.Workload, spec soc.Spec) float64 {
 	trafficGB := 0.0 // gigabytes every schedule must move
 
 	for _, app := range w.Apps {
-		b := app.Bench
 		fixed := app.SetupSec() + app.TeardownSec()
 		coreSec += fixed
 		// Setup and teardown run on one CPU core with no memory traffic.
 		energyJ += fixed * (soc.CPUCoreWatts + soc.MemoryPowerWatts(0))
 
-		minT, minE, minGB := computeOptionMins(b, spec)
+		// The compute phase needs at least the least time, energy (memory
+		// power included) and traffic of any one unit; taking each minimum
+		// independently only loosens (never breaks) the combined bound.
+		minT, minE, minGB := math.Inf(1), math.Inf(1), math.Inf(1)
+		spec.ComputeUnits(app.Bench, func(u soc.Unit) {
+			minT = math.Min(minT, u.Sec)
+			minE = math.Min(minE, u.Sec*(u.Watts+soc.MemoryPowerWatts(u.GBs)))
+			minGB = math.Min(minGB, u.Sec*u.GBs)
+		})
 		pathBound = math.Max(pathBound, fixed+minT)
 		energyJ += minE
 		trafficGB += minGB
@@ -53,35 +60,6 @@ func AnalyticLowerBoundSec(w rodinia.Workload, spec soc.Spec) float64 {
 		lb = math.Max(lb, trafficGB/spec.MemBandwidthGBs)
 	}
 	return lb
-}
-
-// computeOptionMins scans a benchmark's compute options on spec and returns
-// the minimum time, energy (power x time, memory power included), and
-// memory traffic any single option achieves. Minima are taken per metric
-// independently, which only loosens (never breaks) the combined bound.
-func computeOptionMins(b rodinia.Benchmark, spec soc.Spec) (minT, minE, minGB float64) {
-	minT, minE, minGB = math.Inf(1), math.Inf(1), math.Inf(1)
-	consider := func(t, powerW, bwGBs float64) {
-		minT = math.Min(minT, t)
-		minE = math.Min(minE, t*(powerW+soc.MemoryPowerWatts(bwGBs)))
-		minGB = math.Min(minGB, t*bwGBs)
-	}
-	consider(soc.CPUTimeSec(b, 1), soc.CPUCoreWatts, soc.CPUBandwidthGBs(b, 1))
-	if spec.CPUCores > 1 {
-		consider(soc.CPUTimeSec(b, spec.CPUCores),
-			soc.CPUCoreWatts*float64(spec.CPUCores), soc.CPUBandwidthGBs(b, spec.CPUCores))
-	}
-	if spec.GPUSMs > 0 {
-		for _, f := range spec.GPUFrequenciesMHz {
-			consider(soc.GPUTimeSec(b, spec.GPUSMs, f),
-				soc.GPUPowerWatts(spec.GPUSMs, f), soc.GPUBandwidthGBs(b, spec.GPUSMs, f))
-		}
-	}
-	if d, ok := spec.DSAFor(b.Abbrev); ok {
-		consider(soc.DSATimeSec(b, d.PEs, spec.DSAAdvantage),
-			soc.DSAPowerWatts(d.PEs, spec.DSAAdvantage), soc.DSABandwidthGBs(b, d.PEs, spec.DSAAdvantage))
-	}
-	return minT, minE, minGB
 }
 
 // WarmHint extracts a warm-start hint from a solved result, for seeding a

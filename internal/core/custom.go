@@ -73,7 +73,8 @@ type CustomOption struct {
 
 // Build compiles the model into a solvable instance at the given resolution.
 // Invalid models fail with a *ValidationError wrapping ErrBadModel, each
-// problem addressed by field path.
+// problem addressed by field path. Build relies on Validate for every name
+// and reference check, so the lookups below always resolve.
 func (m CustomModel) Build(stepSec float64, horizon int) (*Instance, error) {
 	if stepSec <= 0 || math.IsNaN(stepSec) || math.IsInf(stepSec, 0) {
 		return nil, BadField("stepSec", CodeRange, "step size %g, want finite > 0", stepSec)
@@ -86,14 +87,7 @@ func (m CustomModel) Build(stepSec float64, horizon int) (*Instance, error) {
 
 	clusterIdx := map[string]int{}
 	groupIdx := map[string]int{}
-	groups := make([]int, 0, len(m.Clusters))
 	for _, c := range m.Clusters {
-		if c.Name == "" {
-			return nil, fmt.Errorf("core: model %q has an unnamed cluster", m.Name)
-		}
-		if _, dup := clusterIdx[c.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate cluster name %q", c.Name)
-		}
 		g := c.Group
 		if g == "" {
 			g = c.Name
@@ -102,42 +96,18 @@ func (m CustomModel) Build(stepSec float64, horizon int) (*Instance, error) {
 			groupIdx[g] = len(groupIdx)
 		}
 		clusterIdx[c.Name] = len(in.Clusters)
-		groups = append(groups, groupIdx[g])
 		in.Clusters = append(in.Clusters, ClusterInfo{Name: c.Name, Kind: kindFromName(c.Name), Group: groupIdx[g]})
 	}
 
-	var resources []scheduler.Resource
-	if m.PowerBudgetW > 0 && !math.IsInf(m.PowerBudgetW, 1) {
-		in.PowerRes = len(resources)
-		resources = append(resources, scheduler.Resource{Name: "power", Capacity: m.PowerBudgetW})
-	}
-	if m.BandwidthGBs > 0 && !math.IsInf(m.BandwidthGBs, 1) {
-		in.BWRes = len(resources)
-		resources = append(resources, scheduler.Resource{Name: "bandwidth", Capacity: m.BandwidthGBs})
-	}
+	resources := in.capResources(m.PowerBudgetW, m.BandwidthGBs)
 	extraIdx := map[string]int{}
 	for _, r := range m.Extra {
-		if r.Name == "" {
-			return nil, fmt.Errorf("core: model %q has an unnamed extra resource", m.Name)
-		}
-		if r.Name == "power" || r.Name == "bandwidth" {
-			return nil, fmt.Errorf("core: extra resource %q collides with a built-in resource", r.Name)
-		}
-		if _, dup := extraIdx[r.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate extra resource %q", r.Name)
-		}
 		extraIdx[r.Name] = len(resources)
 		resources = append(resources, scheduler.Resource{Name: r.Name, Capacity: r.Capacity})
 	}
 
 	taskIdx := map[string]int{}
 	for i, t := range m.Tasks {
-		if t.Name == "" {
-			return nil, fmt.Errorf("core: model %q task %d has no name", m.Name, i)
-		}
-		if _, dup := taskIdx[t.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate task name %q", t.Name)
-		}
 		taskIdx[t.Name] = i
 	}
 
@@ -145,40 +115,19 @@ func (m CustomModel) Build(stepSec float64, horizon int) (*Instance, error) {
 	for i, t := range m.Tasks {
 		st := scheduler.Task{Name: t.Name, App: t.App, Phase: t.Phase}
 		for _, d := range t.Deps {
-			pred, ok := taskIdx[d.Task]
-			if !ok {
-				return nil, fmt.Errorf("core: task %q depends on unknown task %q", t.Name, d.Task)
-			}
-			st.Deps = append(st.Deps, scheduler.Dep{Task: pred, Kind: d.Kind, Lag: StepsAt(d.LagSec, stepSec)})
-		}
-		if len(t.Options) == 0 {
-			return nil, fmt.Errorf("core: task %q has no options", t.Name)
+			st.Deps = append(st.Deps, scheduler.Dep{Task: taskIdx[d.Task], Kind: d.Kind, Lag: StepsAt(d.LagSec, stepSec)})
 		}
 		for _, o := range t.Options {
-			ci, ok := clusterIdx[o.Cluster]
-			if !ok {
-				return nil, fmt.Errorf("core: task %q references unknown cluster %q", t.Name, o.Cluster)
-			}
-			d := make([]float64, len(resources))
-			if in.PowerRes >= 0 {
-				d[in.PowerRes] = o.PowerW
-			}
-			if in.BWRes >= 0 {
-				d[in.BWRes] = o.BandwidthGBs
-			}
+			d := in.capDemand(len(resources), o.PowerW, o.BandwidthGBs)
 			for name, v := range o.ExtraDemand {
-				ri, ok := extraIdx[name]
-				if !ok {
-					return nil, fmt.Errorf("core: task %q demands unknown resource %q", t.Name, name)
-				}
-				d[ri] = v
+				d[extraIdx[name]] = v
 			}
 			label := o.Label
 			if label == "" {
 				label = o.Cluster
 			}
 			st.Options = append(st.Options, scheduler.Option{
-				Cluster:  ci,
+				Cluster:  clusterIdx[o.Cluster],
 				Duration: StepsAt(o.Sec, stepSec),
 				Demand:   d,
 				Label:    label,
@@ -187,14 +136,7 @@ func (m CustomModel) Build(stepSec float64, horizon int) (*Instance, error) {
 		tasks[i] = st
 	}
 
-	in.Problem = &scheduler.Problem{
-		Tasks:        tasks,
-		NumClusters:  len(in.Clusters),
-		ClusterGroup: groups,
-		Resources:    resources,
-		Horizon:      horizon,
-	}
-	if err := in.Problem.Validate(); err != nil {
+	if err := in.assemble(tasks, resources, horizon); err != nil {
 		return nil, fmt.Errorf("core: model %q: %w", m.Name, err)
 	}
 	return in, nil

@@ -121,14 +121,11 @@ func BuildInstanceOpts(w rodinia.Workload, spec soc.Spec, stepSec float64, horiz
 
 	// Clusters: one per CPU core, one per GPU DVFS point (shared group), one
 	// per DSA.
-	group := 0
 	for c := 0; c < spec.CPUCores; c++ {
-		in.Clusters = append(in.Clusters, ClusterInfo{Name: fmt.Sprintf("cpu%d", c), Kind: CPUCluster, Group: group})
-		group++
+		in.Clusters = append(in.Clusters, ClusterInfo{Name: fmt.Sprintf("cpu%d", c), Kind: CPUCluster, Group: c})
 	}
-	gpuFirst := -1
+	group, gpuFirst := spec.CPUCores, spec.CPUCores
 	if spec.GPUSMs > 0 {
-		gpuFirst = len(in.Clusters)
 		for _, f := range spec.GPUFrequenciesMHz {
 			in.Clusters = append(in.Clusters, ClusterInfo{Name: fmt.Sprintf("gpu@%gMHz", f), Kind: GPUCluster, Group: group, FreqMHz: f})
 		}
@@ -141,110 +138,92 @@ func BuildInstanceOpts(w rodinia.Workload, spec soc.Spec, stepSec float64, horiz
 		group++
 	}
 
-	// Resources.
-	var resources []scheduler.Resource
-	if spec.PowerBudgetWatts > 0 && !math.IsInf(spec.PowerBudgetWatts, 1) {
-		in.PowerRes = len(resources)
-		resources = append(resources, scheduler.Resource{Name: "power", Capacity: spec.PowerBudgetWatts})
-	}
-	if spec.MemBandwidthGBs > 0 && !math.IsInf(spec.MemBandwidthGBs, 1) {
-		in.BWRes = len(resources)
-		resources = append(resources, scheduler.Resource{Name: "bandwidth", Capacity: spec.MemBandwidthGBs})
-	}
+	resources := in.capResources(spec.PowerBudgetWatts, spec.MemBandwidthGBs)
 	in.CPURes = len(resources)
 	resources = append(resources, scheduler.Resource{Name: "cpu-cores", Capacity: float64(spec.CPUCores)})
 
-	demand := func(powerW, bwGBs, cores float64) []float64 {
-		d := make([]float64, len(resources))
-		if in.PowerRes >= 0 {
-			d[in.PowerRes] = powerW + soc.MemoryPowerWatts(bwGBs)
-		}
-		if in.BWRes >= 0 {
-			d[in.BWRes] = bwGBs
-		}
-		d[in.CPURes] = cores
-		return d
+	// option places a phase on u at the given cluster.
+	option := func(u soc.Unit, cluster int, label string) scheduler.Option {
+		d := in.capDemand(len(resources), u.Watts+soc.MemoryPowerWatts(u.GBs), u.GBs)
+		d[in.CPURes] = float64(u.Cores)
+		return scheduler.Option{Cluster: cluster, Duration: in.Steps(u.Sec), Demand: d, Label: label}
 	}
-
 	var tasks []scheduler.Task
 	for appIdx, app := range w.Apps {
 		b := app.Bench
-		// Setup: any single CPU core.
-		setup := scheduler.Task{Name: b.Abbrev + ".setup", App: appIdx, Phase: 0}
-		setupSteps := in.Steps(app.SetupSec())
-		for c := 0; c < spec.CPUCores; c++ {
-			setup.Options = append(setup.Options, scheduler.Option{
-				Cluster: c, Duration: setupSteps,
-				Demand: demand(soc.CPUCoreWatts, 0, 1),
-				Label:  fmt.Sprintf("cpu%d", c),
-			})
-		}
-		setupID := len(tasks)
-		tasks = append(tasks, setup)
-
-		// Compute: sequential CPU on any core, parallel CPU across all
-		// cores, GPU at any operating point, or the dedicated DSA.
-		compute := scheduler.Task{
-			Name: b.Abbrev + ".compute", App: appIdx, Phase: 1,
-			Deps: []scheduler.Dep{{Task: setupID}},
-		}
-		seqSteps := in.Steps(soc.CPUTimeSec(b, 1))
-		seqBW := soc.CPUBandwidthGBs(b, 1)
-		for c := 0; c < spec.CPUCores; c++ {
-			compute.Options = append(compute.Options, scheduler.Option{
-				Cluster: c, Duration: seqSteps,
-				Demand: demand(soc.CPUCoreWatts, seqBW, 1),
-				Label:  fmt.Sprintf("cpu%d", c),
-			})
-		}
-		if spec.CPUCores > 1 && !bopts.DisableParallelCPU {
-			parSteps := in.Steps(soc.CPUTimeSec(b, spec.CPUCores))
-			parBW := soc.CPUBandwidthGBs(b, spec.CPUCores)
-			compute.Options = append(compute.Options, scheduler.Option{
-				Cluster: 0, Duration: parSteps,
-				Demand: demand(soc.CPUCoreWatts*float64(spec.CPUCores), parBW, float64(spec.CPUCores)),
-				Label:  fmt.Sprintf("cpu-x%d", spec.CPUCores),
-			})
-		}
-		if gpuFirst >= 0 {
-			for fi, f := range spec.GPUFrequenciesMHz {
-				gpuSteps := in.Steps(soc.GPUTimeSec(b, spec.GPUSMs, f))
-				bw := soc.GPUBandwidthGBs(b, spec.GPUSMs, f)
-				compute.Options = append(compute.Options, scheduler.Option{
-					Cluster: gpuFirst + fi, Duration: gpuSteps,
-					Demand: demand(soc.GPUPowerWatts(spec.GPUSMs, f), bw, 0),
-					Label:  fmt.Sprintf("gpu@%gMHz", f),
-				})
+		fixedSec := [3]float64{app.SetupSec(), 0, app.TeardownSec()}
+		for phase, name := range [...]string{".setup", ".compute", ".teardown"} {
+			t := scheduler.Task{Name: b.Abbrev + name, App: appIdx, Phase: phase}
+			if phase > 0 {
+				t.Deps = []scheduler.Dep{{Task: len(tasks) - 1}}
 			}
+			// add appends the options of running t on u: one per core for a
+			// single-core unit, one on u's cluster otherwise.
+			gpu := gpuFirst
+			add := func(u soc.Unit) {
+				switch {
+				case u.Cores == 1:
+					for c := 0; c < spec.CPUCores; c++ {
+						t.Options = append(t.Options, option(u, c, in.Clusters[c].Name))
+					}
+				case u.DSA != "":
+					c := dsaCluster[u.DSA]
+					t.Options = append(t.Options, option(u, c, in.Clusters[c].Name))
+				case u.Cores == 0: // a GPU operating point
+					t.Options = append(t.Options, option(u, gpu, in.Clusters[gpu].Name))
+					gpu++
+				case !bopts.DisableParallelCPU: // all cores
+					t.Options = append(t.Options, option(u, 0, u.Label()))
+				}
+			}
+			// Compute runs on any of the spec's compute units; setup and
+			// teardown on any single CPU core with no memory traffic.
+			if phase == 1 {
+				spec.ComputeUnits(b, add)
+			} else {
+				add(soc.Unit{Cores: 1, Sec: fixedSec[phase], Watts: soc.CPUCoreWatts})
+			}
+			tasks = append(tasks, t)
 		}
-		if d, ok := spec.DSAFor(b.Abbrev); ok {
-			dsaSteps := in.Steps(soc.DSATimeSec(b, d.PEs, spec.DSAAdvantage))
-			bw := soc.DSABandwidthGBs(b, d.PEs, spec.DSAAdvantage)
-			compute.Options = append(compute.Options, scheduler.Option{
-				Cluster: dsaCluster[b.Abbrev], Duration: dsaSteps,
-				Demand: demand(soc.DSAPowerWatts(d.PEs, spec.DSAAdvantage), bw, 0),
-				Label:  fmt.Sprintf("dsa-%s", b.Abbrev),
-			})
-		}
-		computeID := len(tasks)
-		tasks = append(tasks, compute)
-
-		// Teardown: any single CPU core.
-		teardown := scheduler.Task{
-			Name: b.Abbrev + ".teardown", App: appIdx, Phase: 2,
-			Deps: []scheduler.Dep{{Task: computeID}},
-		}
-		tdSteps := in.Steps(app.TeardownSec())
-		for c := 0; c < spec.CPUCores; c++ {
-			teardown.Options = append(teardown.Options, scheduler.Option{
-				Cluster: c, Duration: tdSteps,
-				Demand: demand(soc.CPUCoreWatts, 0, 1),
-				Label:  fmt.Sprintf("cpu%d", c),
-			})
-		}
-		tasks = append(tasks, teardown)
 	}
+	if err := in.assemble(tasks, resources, horizon); err != nil {
+		return nil, fmt.Errorf("core: built an invalid instance: %w", err)
+	}
+	return in, nil
+}
 
+// capResources returns the power and bandwidth resources for the caps that
+// are positive and finite, recording their indices in in.PowerRes and
+// in.BWRes. Both instance builders start their resource list with it.
+func (in *Instance) capResources(powerW, bwGBs float64) []scheduler.Resource {
+	var resources []scheduler.Resource
+	if powerW > 0 && !math.IsInf(powerW, 1) {
+		in.PowerRes = len(resources)
+		resources = append(resources, scheduler.Resource{Name: "power", Capacity: powerW})
+	}
+	if bwGBs > 0 && !math.IsInf(bwGBs, 1) {
+		in.BWRes = len(resources)
+		resources = append(resources, scheduler.Resource{Name: "bandwidth", Capacity: bwGBs})
+	}
+	return resources
+}
+
+// capDemand returns a demand vector over n resources holding powerW and
+// bwGBs at the cap resources' indices.
+func (in *Instance) capDemand(n int, powerW, bwGBs float64) []float64 {
+	d := make([]float64, n)
+	if in.PowerRes >= 0 {
+		d[in.PowerRes] = powerW
+	}
+	if in.BWRes >= 0 {
+		d[in.BWRes] = bwGBs
+	}
+	return d
+}
+
+// assemble sets in.Problem from the tasks, the resources and the device
+// groups of in.Clusters, and validates it.
+func (in *Instance) assemble(tasks []scheduler.Task, resources []scheduler.Resource, horizon int) error {
 	groups := make([]int, len(in.Clusters))
 	for i, c := range in.Clusters {
 		groups[i] = c.Group
@@ -256,10 +235,7 @@ func BuildInstanceOpts(w rodinia.Workload, spec soc.Spec, stepSec float64, horiz
 		Resources:    resources,
 		Horizon:      horizon,
 	}
-	if err := in.Problem.Validate(); err != nil {
-		return nil, fmt.Errorf("core: built an invalid instance: %w", err)
-	}
-	return in, nil
+	return in.Problem.Validate()
 }
 
 // SequentialSteps returns the makespan, in steps, of the naive fully

@@ -273,3 +273,58 @@ func TestDesignSpaceNoDSAs(t *testing.T) {
 		}
 	}
 }
+
+func TestComputeUnitsOrderAndLabels(t *testing.T) {
+	s := Spec{CPUCores: 4, GPUSMs: 16, GPUFrequenciesMHz: []float64{600, 765},
+		DSAs: []DSA{{16, "HS"}, {4, "LUD"}}}.Normalize()
+	lud, err := rodinia.ByAbbrev("LUD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	s.ComputeUnits(lud, func(u Unit) { got = append(got, u.Label()) })
+	want := []string{"cpu", "cpu-x4", "gpu@600MHz", "gpu@765MHz", "dsa-LUD"}
+	if len(got) != len(want) {
+		t.Fatalf("units %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("unit %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+
+	// A one-core SoC without GPU or DSA offers only the single core.
+	n := 0
+	Spec{CPUCores: 1}.Normalize().ComputeUnits(lud, func(u Unit) {
+		n++
+		if u.Cores != 1 || u.Sec != CPUTimeSec(lud, 1) || u.Watts != CPUCoreWatts {
+			t.Errorf("unit %+v, want one core", u)
+		}
+	})
+	if n != 1 {
+		t.Errorf("%d units on (c1,g0), want 1", n)
+	}
+}
+
+func TestComputeUnitsAllocatesNothingOfItsOwn(t *testing.T) {
+	s := Spec{CPUCores: 4, GPUSMs: 16, DSAs: []DSA{{16, "LUD"}}}.Normalize()
+	lud, err := rodinia.ByAbbrev("LUD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	units := testing.AllocsPerRun(100, func() {
+		s.ComputeUnits(lud, func(u Unit) { sum += u.Sec * u.Watts })
+	})
+	// The device formulas' own allocations (GPUPowerWatts copies Table III)
+	// are the floor; enumerating must add none.
+	formulas := testing.AllocsPerRun(100, func() {
+		for _, f := range s.GPUFrequenciesMHz {
+			sum += GPUPowerWatts(s.GPUSMs, f)
+		}
+		sum += DSAPowerWatts(16, s.DSAAdvantage)
+	})
+	if units > formulas {
+		t.Errorf("ComputeUnits allocates %v per call, the device formulas alone %v", units, formulas)
+	}
+}
