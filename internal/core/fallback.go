@@ -64,8 +64,10 @@ func reasonOf(err error) string {
 // feasibility + bound sanity); a check failure is treated like a solver
 // error. Transient failures — panics, milp.ErrNumerics, injected faults,
 // corrupted results — are retried once with the improver's own perturbation
-// (a new seed for anneal and tabu, looser tolerances for the MILP); if the
-// retry also fails, the priority-rule heuristic scheduler produces a feasible
+// (a new seed for anneal and tabu, looser tolerances for the MILP), except an
+// encoding over the milp size cap (milp.ErrTooLarge), which goes straight to
+// the fallback; if the retry also fails, the priority-rule heuristic
+// scheduler produces a feasible
 // schedule with the combinatorial lower bound and the result is marked
 // Degraded with the fallback reason. Callers therefore always get a feasible
 // schedule with a valid bound, or a typed error (validation, an unknown
@@ -110,14 +112,18 @@ func SolveProblem(ctx context.Context, p *scheduler.Problem, cfg scheduler.Confi
 	stopFallback := obs.StageTimerFrom(ctx).Start(obs.StageFallback)
 	defer stopFallback()
 
-	octx.Counter(obs.MSolveRetries).Inc()
-	octx.Log(ctx, slog.LevelWarn, "solve: transient failure, retrying with perturbed settings", "error", err.Error())
-	res, err = attempt(true)
-	if err == nil {
-		return res, nil
-	}
-	if !Transient(err) || ctx.Err() != nil {
-		return scheduler.Result{}, err
+	// A size refusal is deterministic: a retry would rebuild the same
+	// encoding only to be refused again.
+	if !errors.Is(err, milp.ErrTooLarge) {
+		octx.Counter(obs.MSolveRetries).Inc()
+		octx.Log(ctx, slog.LevelWarn, "solve: transient failure, retrying with perturbed settings", "error", err.Error())
+		res, err = attempt(true)
+		if err == nil {
+			return res, nil
+		}
+		if !Transient(err) || ctx.Err() != nil {
+			return scheduler.Result{}, err
+		}
 	}
 
 	fb, ok := heuristicFallback(p)

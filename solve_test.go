@@ -153,10 +153,12 @@ func TestSweepWithOptions(t *testing.T) {
 // encoding (27k binaries at horizon 200) would need a dense simplex tableau
 // of about 13 GB. The milp package refuses it, and the fallback chain
 // degrades to the heuristic scheduler with reason milp-incomplete, as it does
-// at a node limit, instead of exhausting memory.
+// at a node limit, instead of exhausting memory. The refusal is
+// deterministic, so the chain skips its retry.
 func TestSolveMILPOverCapDegrades(t *testing.T) {
+	reg := hilp.NewMetricsRegistry()
 	res, err := hilp.Solve(context.Background(), hilp.DefaultWorkload(), hilp.SoC{CPUCores: 4, GPUSMs: 16},
-		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Improver: "milp"}))
+		hilp.WithSolver(hilp.SolverConfig{Seed: 1, Improver: "milp"}), hilp.WithObs(&hilp.ObsContext{Metrics: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +168,12 @@ func TestSolveMILPOverCapDegrades(t *testing.T) {
 	}
 	if err := res.Sched.Schedule.Validate(res.Instance.Problem); err != nil {
 		t.Fatal(err)
+	}
+	// One solve per resolution, each degraded without a retry.
+	solves := int64(res.Refinements + 1)
+	for name, want := range map[string]int64{"hilp_core_solve_retries_total": 0, "hilp_core_solve_fallbacks_total": solves} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
