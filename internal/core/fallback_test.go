@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"hilp/internal/faults"
@@ -14,6 +15,7 @@ import (
 	"hilp/internal/obs"
 	"hilp/internal/rodinia"
 	"hilp/internal/scheduler"
+	"hilp/internal/soc"
 )
 
 // fallbackProblem is a small instance every solver layer handles quickly.
@@ -350,5 +352,28 @@ func hashSolveTraces(w io.Writer, rec *obs.Recorder) {
 		if c := r.Certificate; c != nil {
 			fmt.Fprintf(w, "  certificate %g %g %v\n", c.Incumbent, c.Bound, c.Proven)
 		}
+	}
+}
+
+// TestMILPOverCapRefusedBeforeBuild encodes a Sec. VI design point, the
+// Default workload on (c4,g16) at the DSE profile's first resolution, whose
+// time-indexed tableau is far over the milp size cap. The encoder counts the
+// binaries and refuses it before building any row: the refusal allocates
+// less than 1 MiB, where building the encoding took hundreds.
+func TestMILPOverCapRefusedBeforeBuild(t *testing.T) {
+	in, err := BuildInstance(rodinia.DefaultWorkload(), soc.Spec{CPUCores: 4, GPUSMs: 16},
+		DSEProfile.InitialStepSec, DSEProfile.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = scheduler.EncodeMILP(in.Problem)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, milp.ErrTooLarge) {
+		t.Fatalf("EncodeMILP: %v, want milp.ErrTooLarge", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusal allocated %d bytes, want < 1 MiB", got)
 	}
 }

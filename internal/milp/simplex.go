@@ -43,6 +43,12 @@ var ErrTooLarge = errors.New("milp: dense tableau exceeds the size cap")
 // float64 cells, 128 MiB.
 const maxTableauCells = 1 << 24
 
+// TableauFits reports whether a dense tableau of rows x cols cells (cols
+// counting the right-hand side) is within the size cap. Every solve checks
+// its tableau with it; an encoder can check lower bounds on both sizes to
+// refuse a problem with ErrTooLarge before building it.
+func TableauFits(rows, cols int) bool { return rows*cols <= maxTableauCells }
+
 // degenStreakLimit is the number of consecutive zero-progress pivots treated
 // as a stall. It exceeds blandAfter so Bland's rule gets a full chance to
 // break ties before the solve is declared numerically stuck.
@@ -210,7 +216,7 @@ func newTableau(p *Problem, lower, upper []float64) (*tableau, error) {
 	}
 
 	total := n + numSlack + numArt
-	if m*(total+1) > maxTableauCells {
+	if !TableauFits(m, total+1) {
 		return nil, fmt.Errorf("%w: %d rows x %d columns", ErrTooLarge, m, total+1)
 	}
 	t := &tableau{

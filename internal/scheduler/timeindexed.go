@@ -32,7 +32,9 @@ type MILPEncoding struct {
 }
 
 // EncodeMILP constructs the time-indexed encoding of p over its hard horizon.
-// It returns an error when some task cannot fit inside the horizon.
+// It returns an error when some task cannot fit inside the horizon, and
+// milp.ErrTooLarge, before building anything, when the encoding's tableau
+// would be over the milp size cap.
 func EncodeMILP(p *Problem) (*MILPEncoding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -44,6 +46,27 @@ func EncodeMILP(p *Problem) (*MILPEncoding, error) {
 
 	// Earliest starts from the dependency critical path.
 	est := earliestStarts(p)
+
+	// Count each task's (option, start) binaries and refuse an encoding whose
+	// dense tableau is over the milp size cap before building any of it. The
+	// tableau has at least one bound row per variable (the binaries and the
+	// makespan) plus each task's assignment and makespan rows, and at least
+	// one slack or artificial column per row.
+	binaries := 0
+	for i := range p.Tasks {
+		n := 0
+		for _, o := range p.Tasks[i].Options {
+			n += max(0, horizon-o.Duration-est[i]+1)
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("scheduler: milp task %d (%s) cannot fit in horizon %d", i, p.Tasks[i].Name, horizon)
+		}
+		binaries += n
+	}
+	rows := binaries + 1 + 2*len(p.Tasks)
+	if cols := binaries + 1 + rows + 1; !milp.TableauFits(rows, cols) {
+		return nil, fmt.Errorf("%w: at least %d rows x %d columns", milp.ErrTooLarge, rows, cols)
+	}
 
 	m := milp.NewProblem()
 	enc := &MILPEncoding{Problem: m, vars: make([]map[[2]int]int, len(p.Tasks)), src: p}
@@ -57,9 +80,6 @@ func EncodeMILP(p *Problem) (*MILPEncoding, error) {
 			for s := est[i]; s+o.Duration <= horizon; s++ {
 				enc.vars[i][[2]int{oi, s}] = m.AddBinary(fmt.Sprintf("x_t%d_o%d_s%d", i, oi, s), 0)
 			}
-		}
-		if len(enc.vars[i]) == 0 {
-			return nil, fmt.Errorf("scheduler: milp task %d (%s) cannot fit in horizon %d", i, t.Name, horizon)
 		}
 	}
 
@@ -228,22 +248,27 @@ func (timeIndexed) improve(ctx context.Context, p *Problem, cfg Config, _ candid
 		opts.IntTol = 1e-5
 		opts.GapTolerance = math.Max(1.5*cfg.GapTarget, 0.02)
 	}
-	warm, haveWarm := HeuristicSchedule(p)
+	incomplete := func(err error) error {
+		if errors.Is(err, milp.ErrTooLarge) {
+			return fmt.Errorf("%w: %w", ErrMILPIncomplete, err)
+		}
+		return err
+	}
+	// Encode first: an encoding over the size cap is refused before the
+	// warm start is computed.
 	enc, err := EncodeMILP(p)
 	if err != nil {
-		return outcome{}, err
+		return outcome{}, incomplete(err)
 	}
+	warm, haveWarm := HeuristicSchedule(p)
 	if haveWarm {
 		if x, werr := enc.warmStart(warm); werr == nil {
 			opts.WarmStart = x
 		}
 	}
 	sol, err := milp.Solve(ctx, enc.Problem, opts)
-	if errors.Is(err, milp.ErrTooLarge) {
-		return outcome{}, fmt.Errorf("%w: %w", ErrMILPIncomplete, err)
-	}
 	if err != nil {
-		return outcome{}, err
+		return outcome{}, incomplete(err)
 	}
 
 	switch sol.Status {
