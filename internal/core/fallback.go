@@ -67,11 +67,11 @@ func reasonOf(err error) string {
 // (a new seed for anneal and tabu, looser tolerances for the MILP), except an
 // encoding over the milp size cap (milp.ErrTooLarge), which goes straight to
 // the fallback; if the retry also fails, the priority-rule heuristic
-// scheduler produces a feasible
-// schedule with the combinatorial lower bound and the result is marked
-// Degraded with the fallback reason. Callers therefore always get a feasible
-// schedule with a valid bound, or a typed error (validation, an unknown
-// improver, genuine infeasibility, context expiry) — never silent garbage.
+// scheduler produces a feasible schedule with the combinatorial lower bound
+// and the result is marked Degraded with the fallback reason. Callers
+// therefore always get a feasible schedule with a valid bound, or a typed
+// error (validation, an unknown improver, genuine infeasibility, context
+// expiry) — never silent garbage.
 func SolveProblem(ctx context.Context, p *scheduler.Problem, cfg scheduler.Config) (scheduler.Result, error) {
 	solve, err := scheduler.Improver(cfg.Improver)
 	if err != nil {
